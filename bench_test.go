@@ -68,17 +68,17 @@ func benchScenario(b *testing.B, id string) *experiments.Report {
 	return benchFleetScenario(b, id, 0)
 }
 
-// benchFleetScenario is benchScenario with the fleet scenarios' epoch
-// fan-out width applied (0/1 = the sequential loop). Output is
-// byte-identical at every width, so the sub-benchmarks measure pure wall
-// clock against one fixed workload.
-func benchFleetScenario(b *testing.B, id string, fleetWorkers int) *experiments.Report {
+// benchFleetScenario is benchScenario with a per-unit worker budget
+// applied, which the fleet scenarios spend on their epoch fan-out (0/1 =
+// the sequential loop). Output is byte-identical at every budget, so the
+// sub-benchmarks measure pure wall clock against one fixed workload.
+func benchFleetScenario(b *testing.B, id string, workers int) *experiments.Report {
 	b.Helper()
 	s, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("scenario %s not registered", id)
 	}
-	cfg := experiments.Config{Seed: 42, FleetWorkers: fleetWorkers}
+	cfg := experiments.Config{Seed: 42, Workers: workers}
 	rep, err := experiments.RunSequential(context.Background(), s, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -8,27 +8,20 @@
 //	pdrbench                      # run the full E1–A5 suite sequentially
 //	pdrbench -run E1,E3           # a subset, by ID or legacy alias
 //	pdrbench -platform zc706      # run on another registered platform
-//	pdrbench -parallel 4          # shard the suite over 4 workers
-//	                              # (output is byte-identical to -parallel 1)
-//	pdrbench -parallel 0          # one worker per CPU
-//	pdrbench -fleet-workers 8     # fan each fleet epoch out over 8 goroutines
-//	                              # (0 = one per CPU; output is byte-identical)
-//	pdrbench -fleet 1,2,4         # reshape the E13 fleet-size axis
-//	pdrbench -router affinity     # E13 routing policy
-//	pdrbench -chaos-crashes 3     # reshape the E15 fault storm
-//	                              # (-chaos-excursions, -chaos-glitches too;
-//	                              # 0 = standard storm, negative = none)
+//	pdrbench -parallel 4          # a budget of 4 goroutines: shards first,
+//	                              # then each shard's fleet epochs or planner
+//	                              # simulations (output is byte-identical
+//	                              # to -parallel 1)
+//	pdrbench -parallel 0          # one goroutine per CPU
+//	pdrbench -run E13 -set E13.fleet=1,2,4 -set E13.router=affinity
+//	                              # set scenario parameters (repeatable;
+//	                              # -list prints every key and its rule)
 //	pdrbench -run E16 -trace-out day.json   # persist the E16 arrival stream
-//	pdrbench -run E16 -trace-in day.json    # replay a recorded stream
-//	pdrbench -run E16 -scaler predictive    # one autoscaler policy only
-//	pdrbench -run E17 -plan-workers 4       # fan the planner's verifying
-//	                              # simulations out (output is byte-identical)
-//	pdrbench -run E17 -plan-rate 2800 -plan-p99 10 -plan-shed 0.005
-//	                              # re-plan for another load/SLO point
+//	pdrbench -run E16 -set E16.trace=day.json  # replay a recorded stream
 //	pdrbench -run E13 -trace-events e13.json  # export request spans and
 //	                              # control-plane events as Chrome trace-
 //	                              # event JSON (Perfetto-loadable; bytes
-//	                              # are identical at any -fleet-workers)
+//	                              # are identical at any -parallel budget)
 //	pdrbench -run E13 -metrics-out m.json     # sim-time metric series
 //	                              # (queue depths, watts, shed; .csv for CSV)
 //	pdrbench -pprof localhost:6060            # wall-clock pprof endpoints
@@ -36,7 +29,7 @@
 //	pdrbench -json                # machine-readable reports
 //	pdrbench -md > EXPERIMENTS.md # regenerate the committed artefact file
 //	pdrbench -csv out/            # also write figure series as CSV files
-//	pdrbench -list                # show the registered scenarios + platforms
+//	pdrbench -list                # show the scenarios, parameters, platforms
 //	pdrbench -list -json          # the registry as JSON (golden-tested)
 package main
 
@@ -52,65 +45,44 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/pdr"
 )
 
 type options struct {
-	run             string
-	platform        string
-	parallel        int
-	fleetWorkers    int
-	seed            uint64
-	jsonOut         bool
-	mdOut           bool
-	list            bool
-	csvDir          string
-	fleet           string
-	router          string
-	chaosCrashes    int
-	chaosExcursions int
-	chaosGlitches   int
-	traceIn         string
-	traceOut        string
-	scaler          string
-	planWorkers     int
-	planRate        float64
-	planP99         float64
-	planShed        float64
-	traceEvents     string
-	metricsOut      string
-	pprofAddr       string
+	run         string
+	platform    string
+	parallel    int
+	seed        uint64
+	jsonOut     bool
+	mdOut       bool
+	list        bool
+	csvDir      string
+	sets        []string // -set key=value pairs, in command-line order
+	traceOut    string
+	traceEvents string
+	metricsOut  string
+	pprofAddr   string
 }
 
 func main() {
 	var opts options
 	flag.StringVar(&opts.run, "run", "all", "comma-separated scenario IDs or aliases (see -list)")
 	flag.StringVar(&opts.platform, "platform", "", "platform profile to run on (default zedboard; see -list)")
-	flag.IntVar(&opts.parallel, "parallel", 1, "campaign workers (0 = one per CPU)")
-	flag.IntVar(&opts.fleetWorkers, "fleet-workers", 1, "goroutines per fleet epoch advance in E13-E16 (0 = one per CPU; output is byte-identical)")
+	flag.IntVar(&opts.parallel, "parallel", 1, "goroutine budget: campaign shards, then each shard's fleet epochs or planner simulations (0 = one per CPU; output is byte-identical)")
 	flag.Uint64Var(&opts.seed, "seed", 42, "simulation seed")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit reports as JSON (with -list: the scenario registry)")
 	flag.BoolVar(&opts.mdOut, "md", false, "emit the EXPERIMENTS.md document")
-	flag.BoolVar(&opts.list, "list", false, "list registered scenarios and exit")
+	flag.BoolVar(&opts.list, "list", false, "list registered scenarios, parameters and platforms, and exit")
 	flag.StringVar(&opts.csvDir, "csv", "", "directory to write figure CSV series into")
-	flag.StringVar(&opts.fleet, "fleet", "", "comma-separated fleet sizes for the scale-out scenario E13 (e.g. 1,2,4)")
-	flag.StringVar(&opts.router, "router", "", "routing policy for E13 (round-robin|least-outstanding|weighted|affinity)")
-	flag.IntVar(&opts.chaosCrashes, "chaos-crashes", 0, "board outages in the E15 storm (0 = standard, negative = none)")
-	flag.IntVar(&opts.chaosExcursions, "chaos-excursions", 0, "thermal excursions in the E15 storm (0 = standard, negative = none)")
-	flag.IntVar(&opts.chaosGlitches, "chaos-glitches", 0, "CRC glitch bursts in the E15 storm (0 = standard, negative = none)")
-	flag.StringVar(&opts.traceIn, "trace-in", "", "replay the E16 arrival stream from a versioned trace file")
-	flag.StringVar(&opts.traceOut, "trace-out", "", "write the E16 arrival stream to a versioned trace file")
-	flag.StringVar(&opts.scaler, "scaler", "", "restrict E16 to one autoscaler policy (reactive|predictive)")
-	flag.IntVar(&opts.planWorkers, "plan-workers", 1, "goroutines for the E17 planner's verifying simulations (0 = one per CPU; output is byte-identical)")
-	flag.Float64Var(&opts.planRate, "plan-rate", 0, "offered load in req/s the E17 planner plans for (0 = 2200)")
-	flag.Float64Var(&opts.planP99, "plan-p99", 0, "E17 SLO: p99 sojourn bound in ms (0 = 12)")
-	flag.Float64Var(&opts.planShed, "plan-shed", 0, "E17 SLO: maximum shed fraction (0 = 0.01)")
+	flag.Func("set", "set a scenario parameter as key=value (repeatable; see -list)", func(kv string) error {
+		opts.sets = append(opts.sets, kv)
+		return nil
+	})
+	flag.StringVar(&opts.traceOut, "trace-out", "", "write the E16 arrival stream (the E16.trace replay, if set) to a versioned trace file")
 	flag.StringVar(&opts.traceEvents, "trace-events", "", "write the run's spans and events as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the run's sim-time metric series (.csv = CSV, otherwise canonical JSON)")
 	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve wall-clock profiling at this address (e.g. localhost:6060) for the run's duration")
@@ -135,78 +107,24 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 		pdr.WithCampaignSeed(opts.seed),
 		pdr.WithWorkers(opts.parallel),
 	}
-	if opts.fleetWorkers != 1 {
-		copts = append(copts, pdr.WithFleetWorkers(opts.fleetWorkers))
-	}
 	if opts.platform != "" {
 		copts = append(copts, pdr.WithBoardVariant(pdr.BoardVariant(opts.platform)))
 	}
-	if opts.fleet != "" {
-		var sizes []int
-		for _, s := range strings.Split(opts.fleet, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				return fmt.Errorf("invalid -fleet size %q (want positive integers)", s)
-			}
-			sizes = append(sizes, n)
+	// cfg checks every -set before anything runs or is written, and gives
+	// -trace-out the E16.trace replay path.
+	cfg := experiments.Config{Seed: opts.seed, Platform: opts.platform}
+	for _, kv := range opts.sets {
+		key, value, ok := strings.Cut(kv, "=")
+		if !ok {
+			return fmt.Errorf("invalid -set %q (want key=value)", kv)
 		}
-		if len(sizes) == 0 {
-			return fmt.Errorf("invalid -fleet %q (want positive integers, e.g. 1,2,4)", opts.fleet)
+		if err := cfg.Set(key, value); err != nil {
+			return err
 		}
-		copts = append(copts, pdr.WithFleetGrid(sizes...))
-	}
-	if opts.router != "" {
-		valid := false
-		for _, name := range pdr.Routers() {
-			if name == opts.router {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown router %q (want %s)", opts.router, strings.Join(pdr.Routers(), "|"))
-		}
-		copts = append(copts, pdr.WithFleetRouter(opts.router))
-	}
-	if opts.chaosCrashes != 0 || opts.chaosExcursions != 0 || opts.chaosGlitches != 0 {
-		copts = append(copts, pdr.WithChaosStorm(opts.chaosCrashes, opts.chaosExcursions, opts.chaosGlitches))
-	}
-	if opts.traceIn != "" {
-		copts = append(copts, pdr.WithTraceFile(opts.traceIn))
-	}
-	if opts.planWorkers != 1 {
-		copts = append(copts, pdr.WithPlanWorkers(opts.planWorkers))
-	}
-	if opts.planRate != 0 {
-		if opts.planRate < 0 {
-			return fmt.Errorf("invalid -plan-rate %g (want a positive rate)", opts.planRate)
-		}
-		copts = append(copts, pdr.WithPlanRate(opts.planRate))
-	}
-	if opts.planP99 != 0 || opts.planShed != 0 {
-		if opts.planP99 < 0 || opts.planShed < 0 {
-			return fmt.Errorf("invalid SLO -plan-p99 %g / -plan-shed %g (want positive values)", opts.planP99, opts.planShed)
-		}
-		copts = append(copts, pdr.WithSLO(sim.Duration(opts.planP99*float64(sim.Millisecond)), opts.planShed))
-	}
-	if opts.scaler != "" {
-		valid := false
-		for _, name := range pdr.ScalerPolicies() {
-			if name == opts.scaler {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown scaler %q (want %s)", opts.scaler, strings.Join(pdr.ScalerPolicies(), "|"))
-		}
-		copts = append(copts, pdr.WithScalerPolicy(pdr.ScalerPolicy(opts.scaler)))
+		copts = append(copts, pdr.WithParam(key, value))
 	}
 	if opts.traceOut != "" {
-		if err := writeTraceOut(opts); err != nil {
+		if err := writeTraceOut(cfg, opts.traceOut); err != nil {
 			return err
 		}
 		// The notice goes to stderr so -json/-md stdout stays parseable.
@@ -328,20 +246,10 @@ func writeSummary(w io.Writer, res *pdr.CampaignResult) {
 }
 
 // writeTraceOut persists the E16 arrival stream as a versioned trace file:
-// the stream a -trace-in flag names (re-exported after the import round
-// trip), or the one the campaign seed and platform generate.
-func writeTraceOut(opts options) error {
-	var tr pdr.Trace
-	var err error
-	if opts.traceIn != "" {
-		data, rerr := os.ReadFile(opts.traceIn)
-		if rerr != nil {
-			return rerr
-		}
-		tr, err = pdr.ImportTrace(data)
-	} else {
-		tr, err = experiments.DiurnalTrace(experiments.Config{Seed: opts.seed, Platform: opts.platform})
-	}
+// the replay E16.trace names (re-exported after the import round trip), or
+// the stream the campaign seed and platform generate.
+func writeTraceOut(cfg experiments.Config, path string) error {
+	tr, err := experiments.DiurnalTrace(cfg)
 	if err != nil {
 		return err
 	}
@@ -349,7 +257,7 @@ func writeTraceOut(opts options) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(opts.traceOut, out, 0o644)
+	return os.WriteFile(path, out, 0o644)
 }
 
 // scenarioInfo and platformInfo are the machine-readable registry rows
@@ -432,6 +340,17 @@ func listScenarios(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w, "(\"campaign\" = runs on the -platform selection)")
+	// Parameter rows are indented so no line starts with a scenario ID.
+	fmt.Fprintf(w, "\nparameters (-set key=value):\n  %-15s %-13s %s\n", "key", "scenarios", "value")
+	for _, p := range experiments.Params() {
+		doc := p.Doc
+		if p.Choices != nil {
+			doc += ": " + strings.Join(p.Choices(), "|")
+		}
+		if _, err := fmt.Fprintf(w, "  %-15s %-13s %s\n", p.Key, strings.Join(p.Scenarios, ","), doc); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(w, "\nplatforms (-platform):\n%-22s %-20s %-9s %s\n", "name", "board", "part", "summary")
 	for _, p := range pdr.Platforms() {
 		name := p.Name

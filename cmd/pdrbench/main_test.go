@@ -158,18 +158,22 @@ func TestListJSONGolden(t *testing.T) {
 func TestFleetAndRouterFlags(t *testing.T) {
 	// A reduced fleet grid reshapes E13's shard plan and shows up in the
 	// rows; an unknown router must fail through the cluster registry.
-	out := run(t, options{run: "E13", seed: 42, parallel: 1, fleet: "1", router: "round-robin"})
+	out := run(t, options{run: "E13", seed: 42, parallel: 1, sets: []string{"E13.fleet=1", "E13.router=round-robin"}})
 	if !strings.Contains(out, "E13 —") || !strings.Contains(out, "round-robin") {
 		t.Errorf("output missing E13 header or router column:\n%s", out)
 	}
 	if strings.Contains(out, "2× zedboard") {
-		t.Errorf("-fleet 1 should drop larger fleet points:\n%s", out)
+		t.Errorf("E13.fleet=1 should drop larger fleet points:\n%s", out)
 	}
-	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, router: "nope"}); err == nil || !strings.Contains(err.Error(), "unknown router") {
+	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, sets: []string{"E13.router=nope"}}); err == nil ||
+		!strings.Contains(err.Error(), "E13.router") || !strings.Contains(err.Error(), "round-robin|") {
 		t.Errorf("unknown router accepted (err = %v)", err)
 	}
-	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, fleet: "0"}); err == nil || !strings.Contains(err.Error(), "invalid -fleet") {
+	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, sets: []string{"E13.fleet=0"}}); err == nil || !strings.Contains(err.Error(), "E13.fleet") {
 		t.Errorf("invalid fleet size accepted (err = %v)", err)
+	}
+	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, sets: []string{"E13.fleet"}}); err == nil || !strings.Contains(err.Error(), "key=value") {
+		t.Errorf("-set without a value accepted (err = %v)", err)
 	}
 }
 
@@ -178,14 +182,14 @@ func TestChaosStormFlags(t *testing.T) {
 	// class removed, E15 runs fault-free — nothing lost, nothing failed
 	// over, 100% availability across every routing policy.
 	calm := run(t, options{run: "E15", seed: 42, parallel: 1,
-		chaosCrashes: -1, chaosExcursions: -1, chaosGlitches: -1})
+		sets: []string{"E15.crashes=-1", "E15.excursions=-1", "E15.glitches=-1"}})
 	if !strings.Contains(calm, "E15 —") || !strings.Contains(calm, "0 events total") {
 		t.Errorf("disabled storm should report 0 events:\n%s", calm)
 	}
-	// The storm flags reshape the schedule note deterministically.
-	storm := run(t, options{run: "E15", seed: 42, parallel: 1, chaosCrashes: 3})
+	// The storm parameters reshape the schedule note deterministically.
+	storm := run(t, options{run: "E15", seed: 42, parallel: 1, sets: []string{"E15.crashes=3"}})
 	if !strings.Contains(storm, "3 board outages") {
-		t.Errorf("-chaos-crashes 3 not reflected in the storm note:\n%s", storm)
+		t.Errorf("E15.crashes=3 not reflected in the storm note:\n%s", storm)
 	}
 	if calm == storm {
 		t.Error("storm override produced identical output to the calm run")
@@ -210,7 +214,7 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 	traceFile := filepath.Join(dir, "e14.trace.json")
 	metricsJSON := filepath.Join(dir, "e14.metrics.json")
 	metricsCSV := filepath.Join(dir, "e14.metrics.csv")
-	out1 := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 1,
+	out1 := run(t, options{run: "E14", seed: 42, parallel: 1,
 		traceEvents: traceFile, metricsOut: metricsJSON})
 	trace1, err := os.ReadFile(traceFile)
 	if err != nil {
@@ -227,19 +231,20 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 		t.Errorf("metrics file malformed:\n%.200s", m1)
 	}
 	// Stdout must be unchanged by tracing, and both export files must be
-	// byte-identical at a different fleet fan-out width.
+	// byte-identical at a budget above E14's 4 shards, so each shard's
+	// fleet epochs fan out over 2 goroutines.
 	trace2 := filepath.Join(dir, "e14b.trace.json")
-	out4 := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 4,
+	out8 := run(t, options{run: "E14", seed: 42, parallel: 8,
 		traceEvents: trace2, metricsOut: metricsCSV})
-	if out1 != out4 {
-		t.Error("stdout differs between fleet-worker widths")
+	if out1 != out8 {
+		t.Error("stdout differs between worker budgets")
 	}
 	t2, err := os.ReadFile(trace2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(trace1, t2) {
-		t.Error("trace-events files differ between fleet-worker widths")
+		t.Error("trace-events files differ between worker budgets")
 	}
 	csv, err := os.ReadFile(metricsCSV)
 	if err != nil {
@@ -248,7 +253,7 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 	if !strings.HasPrefix(string(csv), "fleet,series,unit,t_us,value\n") {
 		t.Errorf("metrics .csv extension did not select CSV:\n%.120s", csv)
 	}
-	plain := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 1})
+	plain := run(t, options{run: "E14", seed: 42, parallel: 1})
 	if plain != out1 {
 		t.Error("stdout differs between traced and untraced runs")
 	}
@@ -267,5 +272,26 @@ func TestCancelledContext(t *testing.T) {
 	cancel()
 	if err := realMain(ctx, &bytes.Buffer{}, options{run: "E1", seed: 42, parallel: 1}); err == nil {
 		t.Error("cancelled context accepted")
+	}
+}
+
+// TestTraceOutFollowsE16Trace: -trace-out writes the generated E16 stream,
+// or, with E16.trace set, re-exports the replayed one byte for byte.
+func TestTraceOutFollowsE16Trace(t *testing.T) {
+	dir := t.TempDir()
+	day := filepath.Join(dir, "day.json")
+	day2 := filepath.Join(dir, "day2.json")
+	run(t, options{run: "E8", seed: 42, parallel: 1, traceOut: day})
+	run(t, options{run: "E8", seed: 42, parallel: 1, traceOut: day2, sets: []string{"E16.trace=" + day}})
+	a, err := os.ReadFile(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(day2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("re-exported E16.trace replay differs from the generated stream")
 	}
 }

@@ -132,7 +132,7 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Cfg.Workers,
 		Trace:   obsFleet(env.Cfg, "E15", shard, router.Name()),
 		// The scaler's job here is repair, not capacity: it starts one short
 		// of full and must re-activate the spare when a crash empties a slot.

@@ -115,11 +115,15 @@ func diurnalBoards(cfg Config) []cluster.BoardSpec {
 	return boards
 }
 
-// DiurnalTrace generates E16's arrival stream for a campaign
-// configuration — the exact stream the scenario serves, exported so
-// `pdrbench -trace-out` can persist it as a versioned trace file and a
-// later run can replay it byte-identically via Config.TraceFile.
+// DiurnalTrace returns E16's arrival stream for a campaign configuration:
+// the recorded day Config.TraceFile names, otherwise the stream generated
+// from the seed. It is exported so `pdrbench -trace-out` can persist the
+// stream as a versioned trace file that a later run replays
+// byte-identically.
 func DiurnalTrace(cfg Config) (workload.Trace, error) {
+	if cfg.TraceFile != "" {
+		return readTraceFile(cfg.TraceFile)
+	}
 	rps, err := cluster.CommonRPs(diurnalBoards(cfg))
 	if err != nil {
 		return nil, err
@@ -128,20 +132,23 @@ func DiurnalTrace(cfg Config) (workload.Trace, error) {
 	return spec.GenerateUntil(cfg.Seed^0x0E16, diurnalDay, rps, satASPs)
 }
 
-// diurnalStream resolves the scenario's arrival stream: Config.TraceFile
-// replays a recorded day, otherwise the stream is generated from the
-// campaign seed.
-func diurnalStream(cfg Config) (workload.Trace, error) {
-	if cfg.TraceFile == "" {
-		return DiurnalTrace(cfg)
-	}
-	data, err := os.ReadFile(cfg.TraceFile)
+// readTraceFile imports a versioned trace file. Only a regular file is
+// read, so a device or FIFO path fails instead of blocking.
+func readTraceFile(path string) (workload.Trace, error) {
+	st, err := os.Stat(path)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: trace file: %w", err)
+		return nil, err
+	}
+	if !st.Mode().IsRegular() {
+		return nil, fmt.Errorf("trace file %s is not a regular file", path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
 	tr, err := workload.ImportTrace(data)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: trace file %s: %w", cfg.TraceFile, err)
+		return nil, fmt.Errorf("trace file %s: %w", path, err)
 	}
 	return tr, nil
 }
@@ -182,7 +189,7 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	policy := policies[shard]
-	tr, err := diurnalStream(env.Cfg)
+	tr, err := DiurnalTrace(env.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +198,7 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  cluster.LeastOutstanding(),
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Cfg.Workers,
 		Trace:   obsFleet(env.Cfg, "E16", shard, policy),
 		Autoscaler: &cluster.AutoscalerConfig{
 			Window: diurnalHour,

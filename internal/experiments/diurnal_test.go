@@ -137,7 +137,9 @@ func TestDiurnalTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayCfg := cfg
-	replayCfg.TraceFile = path
+	if err := replayCfg.Set("E16.trace", path); err != nil {
+		t.Fatal(err)
+	}
 	replay, err := RunSequential(context.Background(), s, replayCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,19 +153,28 @@ func TestDiurnalTraceReplay(t *testing.T) {
 		}
 	}
 
-	// A missing file fails with a descriptive error, not a panic.
+	// A missing file fails with a descriptive error, not a panic: at Set,
+	// naming the key, and on the typed-field path when a shard opens it.
+	absent := filepath.Join(t.TempDir(), "absent.json")
 	badCfg := cfg
-	badCfg.TraceFile = filepath.Join(t.TempDir(), "absent.json")
+	if err := badCfg.Set("E16.trace", absent); err == nil || !strings.Contains(err.Error(), "E16.trace") {
+		t.Errorf("absent trace file accepted by Set (err = %v)", err)
+	}
+	badCfg.TraceFile = absent
 	if _, err := RunSequential(context.Background(), s, badCfg); err == nil {
 		t.Error("absent trace file accepted")
 	}
 }
 
-// TestDiurnalScalerRestriction: Config.Scaler narrows the shard plan to
-// one policy, and an unknown policy surfaces the cluster validation error.
+// TestDiurnalScalerRestriction: E16.scaler narrows the shard plan to one
+// policy; an unknown policy fails at Set, and on the typed-field path
+// surfaces the cluster validation error.
 func TestDiurnalScalerRestriction(t *testing.T) {
 	s, _ := Lookup("E16")
-	cfg := Config{Seed: 42, Scaler: "predictive"}
+	cfg := Config{Seed: 42}
+	if err := cfg.Set("E16.scaler", "predictive"); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Shards(cfg); got != 1 {
 		t.Fatalf("shards = %d, want 1 with Scaler set", got)
 	}
@@ -175,7 +186,11 @@ func TestDiurnalScalerRestriction(t *testing.T) {
 		t.Fatalf("rows = %v, want the single predictive row", rep.Rows)
 	}
 
-	bad := Config{Seed: 42, Scaler: "psychic"}
+	bad := Config{Seed: 42}
+	if err := bad.Set("E16.scaler", "psychic"); err == nil || !strings.Contains(err.Error(), "psychic") || !strings.Contains(err.Error(), "E16.scaler") {
+		t.Errorf("Set accepted an unknown scaler policy or hid the key (err = %v)", err)
+	}
+	bad.Scaler = "psychic"
 	if _, err := RunSequential(context.Background(), s, bad); err == nil {
 		t.Error("unknown scaler policy accepted")
 	} else if !strings.Contains(err.Error(), "psychic") {

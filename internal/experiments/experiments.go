@@ -194,8 +194,8 @@ func MarkdownSuite(reports []*Report, cfg Config) string {
 }
 
 // Config parameterises a campaign run: the seed, the simulated board
-// variant, and optional grid overrides consumed by the sweep/stress/power
-// scenarios. The zero value is the paper's calibrated setup at seed 0.
+// variant, the scenario parameters and the per-unit worker budget. The zero
+// value is the paper's calibrated setup at seed 0.
 type Config struct {
 	// Seed drives every stochastic model.
 	Seed uint64
@@ -209,61 +209,35 @@ type Config struct {
 	SlowThermal bool
 	// NominalMHz overrides the initial over-clock frequency (0 ⇒ 100).
 	NominalMHz float64
-	// Freqs overrides the frequency axis of the grid scenarios (E2, E3,
-	// E4); nil keeps the paper grids.
-	Freqs []float64
-	// Temps overrides the temperature axis of the stress/power scenarios
-	// (E3, E4); nil keeps the paper grids.
-	Temps []float64
-	// Rates overrides the offered-load axis (requests/s) of the saturation
-	// scenario (E11); nil keeps the standard sweep grid.
-	Rates []float64
-	// FleetSizes overrides the fleet-size axis of the scale-out scenario
-	// (E13); nil keeps the standard {1, 2, 4, 8} sweep. The shard plan
-	// reshapes with the grid, independent of worker count.
-	FleetSizes []int
-	// Router names the routing policy the scale-out scenario (E13) serves
-	// through ("" = least-outstanding; see cluster.RouterNames). The
-	// routing scenario (E14) sweeps every policy regardless.
-	Router string
-	// ChaosCrashes, ChaosExcursions and ChaosGlitches override the chaos
-	// scenario's (E15) fault storm: 0 keeps the standard storm, a negative
-	// value removes that fault class entirely.
-	ChaosCrashes    int
-	ChaosExcursions int
-	ChaosGlitches   int
-	// TraceFile, when set, replays the diurnal scenario's (E16) arrival
-	// stream from a versioned trace file (see workload.ImportTrace)
-	// instead of generating it from the seed. The file's content becomes
-	// part of the campaign configuration: identical bytes, identical run.
-	TraceFile string
-	// Scaler restricts the diurnal scenario (E16) to a single autoscaler
-	// policy ("" compares every policy; see cluster.ScalerPolicies).
-	Scaler string
-	// FleetWorkers bounds the goroutines each fleet scenario's epoch
-	// advance fans out over (≤ 1 = sequential). Purely a wall-clock knob:
-	// fleet output is byte-identical at every setting, so it is not part
-	// of the scientific configuration.
-	FleetWorkers int
-	// PlanWorkers bounds the planner scenario's (E17) tier-B simulation
-	// fan-out (≤ 1 = sequential). Like FleetWorkers it is wall-clock
-	// only: the search result is byte-identical at every setting.
-	PlanWorkers int
-	// PlanRate overrides the planner's offered load in req/s (0 = the
-	// scenario default, 2200).
-	PlanRate float64
-	// PlanP99MS overrides the planner's p99 SLO in milliseconds (0 = the
-	// scenario default, 12 ms).
-	PlanP99MS float64
-	// PlanShed overrides the planner's maximum shed fraction (0 = the
-	// scenario default, 1%).
-	PlanShed float64
+	// The scenario parameters: one field per row of the parameter table,
+	// which documents each key, reader, rule and default (see Params).
+	// A zero value keeps the scenario's default.
+	Freqs           []float64 // "freqs"
+	Temps           []float64 // "temps"
+	Rates           []float64 // "E11.rates"
+	FleetSizes      []int     // "E13.fleet"
+	Router          string    // "E13.router"
+	ChaosCrashes    int       // "E15.crashes"
+	ChaosExcursions int       // "E15.excursions"
+	ChaosGlitches   int       // "E15.glitches"
+	TraceFile       string    // "E16.trace"
+	Scaler          string    // "E16.scaler"
+	PlanRate        float64   // "E17.rate"
+	PlanP99MS       float64   // "E17.p99"
+	PlanShed        float64   // "E17.shed"
+	// Workers is the goroutine budget of one campaign unit (≤ 1 =
+	// sequential): fleet scenarios fan their epoch advance out over it,
+	// and the planner scenario (E17) splits it between its verifying
+	// simulations and their fleets. Purely a wall-clock knob: output is
+	// byte-identical at every setting, so it is not part of the
+	// scientific configuration.
+	Workers int
 	// Obs, when non-nil, collects deterministic spans and sim-time metrics
 	// from the fleet scenarios (see internal/obs): each shard registers
 	// its fleet under "<scenario>/<shard>" so the export is ordered by
-	// key, not by campaign schedule. Like FleetWorkers it is not part of
-	// the scientific configuration — report output is byte-identical with
-	// or without it.
+	// key, not by campaign schedule. Like Workers it is not part of the
+	// scientific configuration — report output is byte-identical with or
+	// without it.
 	Obs *obs.Tracer
 }
 

@@ -123,7 +123,7 @@ var scaleHeader = []string{
 // scalePoint serves the composition's stream on one fleet build.
 func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
 	if size < 1 {
-		return nil, fmt.Errorf("experiments: fleet size %d out of range (WithFleetGrid wants positive sizes)", size)
+		return nil, fmt.Errorf("experiments: fleet size %d out of range (E13.fleet wants positive sizes)", size)
 	}
 	rps, err := fleetRPs(comp)
 	if err != nil {
@@ -146,7 +146,7 @@ func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.
 		Seed:    cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: cfg.FleetWorkers,
+		Workers: cfg.Workers,
 		Trace:   ft,
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,
@@ -348,7 +348,7 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Cfg.Workers,
 		Trace:   obsFleet(env.Cfg, "E14", shard, router.Name()),
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,

@@ -59,7 +59,7 @@ func TestScenarioSimEventsDeterministic(t *testing.T) {
 		t.Fatal("E14 not registered")
 	}
 	run := func(workers int) uint64 {
-		rep, err := RunSequential(context.Background(), s, Config{Seed: 42, FleetWorkers: workers})
+		rep, err := RunSequential(context.Background(), s, Config{Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 // the scenario level: every fleet scenario (E13 scale-out, E14 routing,
 // E15 chaos, E16 diurnal) must emit byte-identical reports whether the
 // per-epoch board advance runs sequentially or fans out over 4 goroutines.
-// FleetWorkers is a wall-clock knob, never a scientific one.
+// The Workers budget is a wall-clock knob, never a scientific one.
 func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 	for _, tc := range []struct {
 		id  string
@@ -28,7 +28,7 @@ func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 			}
 			run := func(workers int) string {
 				cfg := tc.cfg
-				cfg.FleetWorkers = workers
+				cfg.Workers = workers
 				rep, err := RunSequential(context.Background(), s, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -40,7 +40,7 @@ func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 				return string(out)
 			}
 			if seq, par := run(1), run(4); seq != par {
-				t.Errorf("%s report changes with FleetWorkers=4", tc.id)
+				t.Errorf("%s report changes with Workers=4", tc.id)
 			}
 		})
 	}

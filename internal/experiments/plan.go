@@ -10,8 +10,8 @@ import (
 )
 
 // E17 "plan": the power-aware capacity planner. One shard: the search
-// engine itself already fans its verifying simulations out over
-// Config.PlanWorkers (tier B), and the tier-A surrogate scores the whole
+// engine itself already fans its verifying simulations out over the
+// Config.Workers budget (tier B), and the tier-A surrogate scores the whole
 // candidate space in milliseconds, so there is nothing left to shard.
 //
 // The scenario answers ROADMAP item 2's question at the standard offered
@@ -109,10 +109,9 @@ func planShard(ctx context.Context, env *Env, _ int) (*Report, error) {
 	w := planWorkload(cfg)
 	slo := planSLO(cfg)
 	res, err := plan.Search(ctx, plan.Options{
-		Workload:     w,
-		SLO:          slo,
-		Workers:      cfg.PlanWorkers,
-		FleetWorkers: cfg.FleetWorkers,
+		Workload: w,
+		SLO:      slo,
+		Workers:  cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -243,6 +242,6 @@ func planShard(ctx context.Context, env *Env, _ int) (*Report, error) {
 			paperdata.SecVITheoreticalMBs, sramAtPlan.Candidate.Label(), sramAtPlan.Pred.Watts, w.RatePerSec))
 	}
 	rep.Notes = append(rep.Notes,
-		"the search is a pure function of (seed, workload, SLO): -plan-workers and the memo cache change wall clock, never bytes")
+		"the search is a pure function of (seed, workload, SLO): the -parallel worker budget and the memo cache change wall clock, never bytes")
 	return rep, nil
 }

@@ -58,7 +58,7 @@ func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 		t.Fatal("E17 not registered")
 	}
 	run := func(workers int) string {
-		cfg := Config{Seed: 42, PlanWorkers: workers}
+		cfg := Config{Seed: 42, Workers: workers}
 		rep, err := RunSequential(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 		return string(out)
 	}
 	if seq, par := run(1), run(4); seq != par {
-		t.Error("E17 report changes with PlanWorkers=4")
+		t.Error("E17 report changes with Workers=4")
 	}
 }
 

@@ -49,12 +49,12 @@ type Options struct {
 	// MaxSims bounds tier B's full fleet simulations (≤ 0 = 25). Memo hits
 	// are free: they do not count against the budget.
 	MaxSims int
-	// Workers bounds tier B's simulation fan-out (≤ 1 = sequential).
-	// Output is byte-identical at every setting.
+	// Workers is the search's goroutine budget (≤ 1 = sequential): each
+	// tier-B batch runs min(Workers, batch) simulations at once and gives
+	// each simulation's fleet the rest of the budget for its per-epoch
+	// board fan-out (see workpool.Split). Output is byte-identical at
+	// every setting.
 	Workers int
-	// FleetWorkers is passed through to each verifying simulation's
-	// per-epoch board fan-out (also wall-clock only).
-	FleetWorkers int
 	// Memo, when non-nil, is the shared simulation cache; nil uses a fresh
 	// one private to this call.
 	Memo *Memo
@@ -321,12 +321,13 @@ func Search(ctx context.Context, o Options) (*Result, error) {
 			}
 			stats := make([]*cluster.FleetStats, len(cold))
 			errs := make([]error, len(cold))
-			workpool.Run(len(cold), o.Workers, func(k int) {
+			fanout, fleetWorkers := workpool.Split(o.Workers, len(cold))
+			workpool.Run(len(cold), fanout, func(k int) {
 				if err := ctx.Err(); err != nil {
 					errs[k] = err
 					return
 				}
-				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, o.FleetWorkers)
+				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, fleetWorkers)
 			})
 			for k, err := range errs {
 				if err != nil {

@@ -16,6 +16,17 @@ import (
 // Run returns once every unit has finished.
 func Run(n, workers int, fn func(i int)) { RunCounted(n, workers, nil, fn) }
 
+// Split divides a goroutine budget between n independent units and the
+// work inside each: outer = min(budget, n) units run at once, and each gets
+// inner = max(1, budget/outer) goroutines of its own. A budget below 1
+// counts as 1. The campaign splits its budget this way over shards, and
+// the planner splits its own over one batch of verifying simulations.
+func Split(budget, n int) (outer, inner int) {
+	budget = max(budget, 1)
+	outer = min(budget, n)
+	return outer, max(1, budget/max(outer, 1))
+}
+
 // WorkerCount is one worker's accumulated utilization: how many units
 // it claimed and how much wall-clock time it spent running them. The
 // gap between Busy and the pool's elapsed wall time is starvation —

@@ -75,3 +75,31 @@ func TestRunCountedNilCountersIsRun(t *testing.T) {
 		t.Errorf("nil counters snapshot = %v", snap)
 	}
 }
+
+// TestSplit pins the budget rule both callers use: the campaign splits
+// its budget over shards (n = units), the planner splits its own over one
+// tier-B batch (n = cold simulations, inner = each simulation's fleet
+// workers).
+func TestSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		budget, n    int
+		outer, inner int
+	}{
+		{"sequential", 1, 10, 1, 1},
+		{"below one counts as one", 0, 3, 1, 1},
+		{"negative budget", -4, 3, 1, 1},
+		{"more units than budget", 4, 10, 4, 1},
+		{"one unit takes the whole budget", 4, 1, 1, 4},
+		{"budget above units", 40, 10, 10, 4},
+		{"remainder dropped", 9, 4, 4, 2},
+		{"planner batch of three", 8, 3, 3, 2},
+		{"no units", 4, 0, 0, 4},
+	} {
+		outer, inner := Split(tc.budget, tc.n)
+		if outer != tc.outer || inner != tc.inner {
+			t.Errorf("%s: Split(%d, %d) = (%d, %d), want (%d, %d)",
+				tc.name, tc.budget, tc.n, outer, inner, tc.outer, tc.inner)
+		}
+	}
+}

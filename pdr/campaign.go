@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/workpool"
 )
 
@@ -66,159 +65,45 @@ func (v BoardVariant) apply(cfg *experiments.Config) error {
 }
 
 // CampaignOption configures NewCampaign.
-type CampaignOption func(*campaignConfig)
-
-type campaignConfig struct {
-	seed            uint64
-	workers         int
-	ids             []string
-	variant         BoardVariant
-	freqs           []float64
-	temps           []float64
-	rates           []float64
-	fleetSizes      []int
-	router          string
-	chaosCrashes    int
-	chaosExcursions int
-	chaosGlitches   int
-	traceFile       string
-	scaler          string
-	fleetWorkers    int
-	planWorkers     int
-	planRate        float64
-	planP99MS       float64
-	planShed        float64
-	tracer          *Tracer
-}
+type CampaignOption func(*Campaign)
 
 // WithCampaignSeed fixes the deterministic seed (default 42, the suite's
 // reference seed).
 func WithCampaignSeed(seed uint64) CampaignOption {
-	return func(c *campaignConfig) { c.seed = seed }
+	return func(c *Campaign) { c.cfg.Seed = seed }
 }
 
-// WithWorkers sets the worker-pool size. Each worker owns fully independent
-// Systems (their own simulation kernels — the kernel itself stays
-// single-threaded by design). n ≤ 0 means one worker per available CPU.
+// WithWorkers sets the campaign's goroutine budget. The campaign runs
+// min(n, units) shard workers, each owning fully independent Systems
+// (their own simulation kernels — the kernel itself stays single-threaded
+// by design), and gives every unit max(1, n/shard workers) goroutines for
+// its own fan-out: fleet epochs, the planner's verifying simulations.
+// n ≤ 0 means one per available CPU. Output is byte-identical at every
+// budget.
 func WithWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) { c.workers = n }
+	return func(c *Campaign) { c.workers = n }
 }
 
 // WithScenarios restricts the campaign to the given scenario IDs or aliases
 // (default: the full registered suite).
 func WithScenarios(ids ...string) CampaignOption {
-	return func(c *campaignConfig) { c.ids = append([]string(nil), ids...) }
+	return func(c *Campaign) { c.ids = append([]string(nil), ids...) }
 }
 
 // WithBoardVariant selects the simulated board build.
 func WithBoardVariant(v BoardVariant) CampaignOption {
-	return func(c *campaignConfig) { c.variant = v }
+	return func(c *Campaign) { c.variant = v }
 }
 
-// WithFrequencyGrid overrides the frequency axis of the grid scenarios
-// (E2, E3, E4).
-func WithFrequencyGrid(freqsMHz ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.freqs = append([]float64(nil), freqsMHz...) }
-}
-
-// WithTemperatureGrid overrides the temperature axis of the stress/power
-// scenarios (E3, E4).
-func WithTemperatureGrid(tempsC ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.temps = append([]float64(nil), tempsC...) }
-}
-
-// WithRateGrid overrides the offered-load axis (requests/s) of the
-// saturation scenario (E11). The shard plan reshapes with the grid —
-// deterministically, independent of worker count.
-func WithRateGrid(ratesPerSec ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.rates = append([]float64(nil), ratesPerSec...) }
-}
-
-// WithFleetGrid overrides the fleet-size axis of the scale-out scenario
-// (E13). The shard plan reshapes with the grid — deterministically,
-// independent of worker count.
-func WithFleetGrid(sizes ...int) CampaignOption {
-	return func(c *campaignConfig) { c.fleetSizes = append([]int(nil), sizes...) }
-}
-
-// WithFleetRouter selects the routing policy the scale-out scenario (E13)
-// serves through (default least-outstanding; see Routers). The routing
-// scenario (E14) sweeps every policy regardless.
-func WithFleetRouter(name string) CampaignOption {
-	return func(c *campaignConfig) { c.router = name }
-}
-
-// WithChaosStorm reshapes the fault storm the chaos scenario (E15) replays:
-// the number of board outages, thermal excursions and CRC glitch bursts.
-// For each count, 0 keeps the standard storm and a negative value removes
-// that fault class entirely. The storm stays seeded and deterministic —
-// every routing policy still faces the identical event list.
-func WithChaosStorm(crashes, excursions, glitches int) CampaignOption {
-	return func(c *campaignConfig) {
-		c.chaosCrashes = crashes
-		c.chaosExcursions = excursions
-		c.chaosGlitches = glitches
-	}
-}
-
-// WithTraceFile replays the diurnal scenario's (E16) arrival stream from a
-// versioned trace file (see ExportTrace/ImportTrace) instead of generating
-// it from the campaign seed. The file's bytes become part of the campaign
-// configuration: identical file, identical run.
-func WithTraceFile(path string) CampaignOption {
-	return func(c *campaignConfig) { c.traceFile = path }
-}
-
-// WithScalerPolicy restricts the diurnal scenario (E16) to a single
-// autoscaler policy instead of comparing every policy (see
-// ScalerPolicies).
-func WithScalerPolicy(policy ScalerPolicy) CampaignOption {
-	return func(c *campaignConfig) { c.scaler = string(policy) }
-}
-
-// WithFleetWorkers bounds the goroutines each fleet scenario's per-epoch
-// board advance fans out over, inside one campaign unit (it composes with
-// WithWorkers, which parallelises across units). n ≤ 0 means one per
-// available CPU. Purely a wall-clock knob: fleet output is byte-identical
-// at every setting.
-func WithFleetWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.fleetWorkers = n
-	}
-}
-
-// WithPlanWorkers bounds the goroutines the planner scenario's (E17)
-// tier-B verifying simulations fan out over. n ≤ 0 means one per available
-// CPU. Purely a wall-clock knob: the search result is byte-identical at
-// every setting.
-func WithPlanWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.planWorkers = n
-	}
-}
-
-// WithPlanRate overrides the offered load (requests/s) the planner
-// scenario (E17) plans for (default 2200).
-func WithPlanRate(ratePerSec float64) CampaignOption {
-	return func(c *campaignConfig) { c.planRate = ratePerSec }
-}
-
-// WithSLO overrides the planner scenario's (E17) objective: the p99
-// sojourn bound and the maximum tolerable shed fraction. A zero (or
-// negative) value keeps that component's default (p99 ≤ 12 ms, shed ≤ 1%).
-func WithSLO(p99 sim.Duration, maxShed float64) CampaignOption {
-	return func(c *campaignConfig) {
-		if p99 > 0 {
-			c.planP99MS = float64(p99) / float64(sim.Millisecond)
-		}
-		if maxShed > 0 {
-			c.planShed = maxShed
+// WithParam sets one scenario parameter by key, e.g. WithParam("E13.fleet",
+// "1,2,4") or WithParam("E17.p99", "10"). The keys, their readers, defaults
+// and validity rules are the experiments parameter table (`pdrbench -list`
+// prints it). Run returns the first invalid key or value before any shard
+// starts.
+func WithParam(key, value string) CampaignOption {
+	return func(c *Campaign) {
+		if c.err == nil {
+			c.err = c.cfg.Set(key, value)
 		}
 	}
 }
@@ -230,7 +115,7 @@ func WithSLO(p99 sim.Duration, maxShed float64) CampaignOption {
 // stay byte-identical with or without it — and the tracer's exports are
 // byte-identical at every worker count. See NewTracer.
 func WithTracer(t *Tracer) CampaignOption {
-	return func(c *campaignConfig) { c.tracer = t }
+	return func(c *Campaign) { c.cfg.Obs = t }
 }
 
 // Campaign runs a set of registered scenarios, sharded across a pool of
@@ -239,14 +124,18 @@ func WithTracer(t *Tracer) CampaignOption {
 // index, so the output is bit-identical whatever the worker count — a
 // parallel campaign is just a faster sequential one.
 type Campaign struct {
-	cfg campaignConfig
+	cfg     experiments.Config
+	workers int
+	ids     []string
+	variant BoardVariant
+	err     error // the first WithParam failure, returned by Run
 }
 
 // NewCampaign builds a campaign; Run executes it.
 func NewCampaign(opts ...CampaignOption) *Campaign {
-	c := &Campaign{cfg: campaignConfig{seed: 42, workers: 1}}
+	c := &Campaign{cfg: experiments.Config{Seed: 42}, workers: 1}
 	for _, fn := range opts {
-		fn(&c.cfg)
+		fn(c)
 	}
 	return c
 }
@@ -304,34 +193,19 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ecfg := experiments.Config{
-		Seed:            c.cfg.seed,
-		Freqs:           c.cfg.freqs,
-		Temps:           c.cfg.temps,
-		Rates:           c.cfg.rates,
-		FleetSizes:      c.cfg.fleetSizes,
-		Router:          c.cfg.router,
-		ChaosCrashes:    c.cfg.chaosCrashes,
-		ChaosExcursions: c.cfg.chaosExcursions,
-		ChaosGlitches:   c.cfg.chaosGlitches,
-		TraceFile:       c.cfg.traceFile,
-		Scaler:          c.cfg.scaler,
-		FleetWorkers:    c.cfg.fleetWorkers,
-		PlanWorkers:     c.cfg.planWorkers,
-		PlanRate:        c.cfg.planRate,
-		PlanP99MS:       c.cfg.planP99MS,
-		PlanShed:        c.cfg.planShed,
-		Obs:             c.cfg.tracer,
+	if c.err != nil {
+		return nil, fmt.Errorf("pdr: %w", c.err)
 	}
-	if err := c.cfg.variant.apply(&ecfg); err != nil {
+	ecfg := c.cfg
+	if err := c.variant.apply(&ecfg); err != nil {
 		return nil, err
 	}
 
 	scens := experiments.All()
-	if len(c.cfg.ids) > 0 {
+	if len(c.ids) > 0 {
 		scens = scens[:0:0]
 		seen := make(map[string]bool)
-		for _, id := range c.cfg.ids {
+		for _, id := range c.ids {
 			s, ok := experiments.Lookup(id)
 			if !ok {
 				return nil, fmt.Errorf("pdr: unknown scenario %q (want %s)", id, experiments.KeyList())
@@ -356,13 +230,12 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		}
 	}
 
-	workers := c.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	budget := c.workers
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
-	}
+	var workers int
+	workers, ecfg.Workers = workpool.Split(budget, len(units))
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -413,7 +286,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		return nil, cancelled
 	}
 
-	res := &CampaignResult{Seed: c.cfg.seed, Workers: workers, Units: len(units), cfg: ecfg}
+	res := &CampaignResult{Seed: ecfg.Seed, Workers: workers, Units: len(units), cfg: ecfg}
 	for si, s := range scens {
 		rep := parts[si][0]
 		if s.Merge != nil {

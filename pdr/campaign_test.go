@@ -172,8 +172,8 @@ func TestCampaignGridOverride(t *testing.T) {
 		pdr.WithCampaignSeed(42),
 		pdr.WithWorkers(2),
 		pdr.WithScenarios("E3"),
-		pdr.WithFrequencyGrid(100, 200),
-		pdr.WithTemperatureGrid(40, 100),
+		pdr.WithParam("freqs", "100,200"),
+		pdr.WithParam("temps", "40,100"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +229,8 @@ func TestCampaignFleetGridOverride(t *testing.T) {
 	res, err := pdr.NewCampaign(
 		pdr.WithCampaignSeed(42),
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(1, 2),
-		pdr.WithFleetRouter("affinity"),
+		pdr.WithParam("E13.fleet", "1,2"),
+		pdr.WithParam("E13.router", "affinity"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -245,22 +245,24 @@ func TestCampaignFleetGridOverride(t *testing.T) {
 	}
 	for _, row := range rep.Rows {
 		if row[2] != "affinity" {
-			t.Errorf("router column = %q, want the WithFleetRouter override", row[2])
+			t.Errorf("router column = %q, want the E13.router override", row[2])
 		}
 	}
-	// An unknown router surfaces through the shard error path, and a
-	// non-positive fleet size errors instead of panicking a worker.
+	// An unknown router and a non-positive fleet size fail before any
+	// shard runs, naming the parameter.
 	if _, err := pdr.NewCampaign(
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(1),
-		pdr.WithFleetRouter("nope"),
-	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown router") {
+		pdr.WithParam("E13.fleet", "1"),
+		pdr.WithParam("E13.router", "nope"),
+	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "E13.router") ||
+		!strings.Contains(err.Error(), "unknown value") || strings.Contains(err.Error(), "shard") {
 		t.Errorf("unknown router accepted (err = %v)", err)
 	}
 	if _, err := pdr.NewCampaign(
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(-1),
-	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "out of range") {
+		pdr.WithParam("E13.fleet", "-1"),
+	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "out of range") ||
+		!strings.Contains(err.Error(), "E13.fleet") || strings.Contains(err.Error(), "shard") {
 		t.Errorf("negative fleet size accepted (err = %v)", err)
 	}
 }
@@ -269,7 +271,7 @@ func TestCampaignRateGridOverride(t *testing.T) {
 	res, err := pdr.NewCampaign(
 		pdr.WithCampaignSeed(42),
 		pdr.WithScenarios("E11"),
-		pdr.WithRateGrid(50, 400),
+		pdr.WithParam("E11.rates", "50,400"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -286,5 +288,67 @@ func TestCampaignRateGridOverride(t *testing.T) {
 		if row[1] != "50" && row[1] != "400" {
 			t.Errorf("unexpected rate in row: %v", row)
 		}
+	}
+}
+
+// TestCampaignRejectsBadParamBeforeShards: every declared parameter has a
+// malformed or out-of-range value that Run rejects before any shard runs
+// (the error names the key, never a shard), and an unknown key lists the
+// valid ones.
+func TestCampaignRejectsBadParamBeforeShards(t *testing.T) {
+	bad := map[string]string{
+		"freqs":          "100,0",
+		"temps":          "40,hot",
+		"E11.rates":      "-50",
+		"E13.fleet":      "0",
+		"E13.router":     "nope",
+		"E15.crashes":    "1.5",
+		"E15.excursions": "many",
+		"E15.glitches":   "",
+		"E16.trace":      "absent-trace.json",
+		"E16.scaler":     "psychic",
+		"E17.rate":       "-2800",
+		"E17.p99":        "NaN",
+		"E17.shed":       "2",
+	}
+	for _, key := range experiments.ParamKeys() {
+		value, ok := bad[key]
+		if !ok {
+			t.Errorf("no bad value for parameter %s", key)
+			continue
+		}
+		_, err := pdr.NewCampaign(pdr.WithParam(key, value)).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), key) || strings.Contains(err.Error(), "shard") {
+			t.Errorf("%s=%q: err = %v, want a pre-shard error naming the key", key, value, err)
+		}
+	}
+	_, err := pdr.NewCampaign(pdr.WithParam("E13.fleets", "2")).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "E13.fleet|") {
+		t.Errorf("unknown key: err = %v, want the valid keys listed", err)
+	}
+}
+
+// TestCampaignWorkerBudget pins the campaign's budget split: min(budget,
+// units) shard workers, and the same bytes as a sequential run when one
+// unit takes the whole budget for its fleet epochs.
+func TestCampaignWorkerBudget(t *testing.T) {
+	run := func(workers int) *pdr.CampaignResult {
+		res, err := pdr.NewCampaign(
+			pdr.WithCampaignSeed(42),
+			pdr.WithWorkers(workers),
+			pdr.WithScenarios("E16"),
+			pdr.WithParam("E16.scaler", "predictive"),
+		).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, wide := run(1), run(4)
+	if wide.Units != 1 || wide.Workers != 1 {
+		t.Errorf("budget 4 over 1 unit ran %d units on %d shard workers, want 1 on 1", wide.Units, wide.Workers)
+	}
+	if seq.Render() != wide.Render() {
+		t.Error("E16 output changes when its one unit takes a budget of 4")
 	}
 }

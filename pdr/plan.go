@@ -64,12 +64,11 @@ type PlanOptions struct {
 	// MaxSims bounds tier B's full fleet simulations (≤ 0 = 25). Memo
 	// hits are free.
 	MaxSims int
-	// Workers bounds tier B's simulation fan-out (≤ 1 = sequential).
-	// Output is byte-identical at every setting.
+	// Workers is the search's goroutine budget (≤ 1 = sequential): tier B
+	// runs min(Workers, batch) verifying simulations at once and gives
+	// each one's fleet the rest for its per-epoch board fan-out. Output is
+	// byte-identical at every setting.
 	Workers int
-	// FleetWorkers is each verifying simulation's per-epoch board fan-out
-	// (also wall-clock only).
-	FleetWorkers int
 	// Memo, when non-nil, is a shared simulation cache; nil uses a fresh
 	// private one.
 	Memo *PlanMemo
@@ -80,13 +79,12 @@ type PlanOptions struct {
 // whatever the worker counts or memo warmth.
 func Plan(ctx context.Context, opts PlanOptions) (*PlanResult, error) {
 	return plan.Search(ctx, plan.Options{
-		Workload:     opts.Workload,
-		SLO:          opts.SLO,
-		Space:        opts.Space,
-		Candidates:   opts.Candidates,
-		MaxSims:      opts.MaxSims,
-		Workers:      opts.Workers,
-		FleetWorkers: opts.FleetWorkers,
-		Memo:         opts.Memo,
+		Workload:   opts.Workload,
+		SLO:        opts.SLO,
+		Space:      opts.Space,
+		Candidates: opts.Candidates,
+		MaxSims:    opts.MaxSims,
+		Workers:    opts.Workers,
+		Memo:       opts.Memo,
 	})
 }
