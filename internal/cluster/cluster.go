@@ -104,10 +104,6 @@ type FleetConfig struct {
 	// advance and exported in board-index order, so the trace bytes are
 	// independent of Workers. Nil keeps tracing disabled at zero cost.
 	Trace *obs.FleetTrace
-	// Pool, when non-nil, accumulates the epoch fan-out's per-worker
-	// wall-clock utilization (see workpool.Counters). Profiling only —
-	// wall-clock tallies never feed the deterministic outputs.
-	Pool *workpool.Counters
 	// Service is the per-board service template.
 	Service ServiceTemplate
 }
@@ -340,7 +336,7 @@ func (f *Fleet) workers() int {
 // with nothing queued take the SkipTo fast path — one RunUntil instead of
 // the dispatch loop's per-wake scaffolding.
 func (f *Fleet) advanceAll(now sim.Duration, workers int, errs []error) error {
-	workpool.RunCounted(len(f.boards), workers, f.cfg.Pool, func(i int) {
+	workpool.Run(len(f.boards), workers, func(i int) {
 		b := f.boards[i]
 		if b.svc.SkipTo(now) {
 			return
@@ -481,7 +477,7 @@ func (f *Fleet) Serve(tr workload.Trace) (*FleetStats, error) {
 	}
 	stats.PeakActive, stats.FinalActive = peak, active
 	drained := make([]hll.ServiceStats, len(f.boards))
-	workpool.RunCounted(len(f.boards), workers, f.cfg.Pool, func(i int) {
+	workpool.Run(len(f.boards), workers, func(i int) {
 		drained[i], errs[i] = f.boards[i].svc.Drain()
 	})
 	f.flushCompletions()

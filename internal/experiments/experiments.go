@@ -2,7 +2,7 @@
 // evaluation from the simulation, one Scenario per artefact (the experiment
 // index of DESIGN.md §4). Each scenario returns a Report holding the
 // formatted rows the paper prints plus machine-readable series for the
-// figures; the pdrbench command, the root benchmarks and the generated
+// figures; the pdrbench command, the pdr campaign API and the generated
 // EXPERIMENTS.md all consume these scenarios so the numbers in all three
 // always agree.
 //

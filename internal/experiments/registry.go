@@ -97,9 +97,9 @@ func KeyList() string { return strings.Join(IDs(), "|") }
 // RunSequential executes every shard of the scenario in index order, each
 // on a fresh Env built from cfg, and merges. This is the sequential
 // reference path a parallel campaign must reproduce byte for byte; the
-// root benchmarks and tests use it so every consumer of a scenario — the
-// campaign, pdrbench, EXPERIMENTS.md, `go test -bench` — runs the same
-// implementation and reports the same numbers.
+// tests use it, and every other consumer of a scenario — the campaign,
+// pdrbench, EXPERIMENTS.md — runs the same shards and merge, so all of
+// them report the same numbers.
 func RunSequential(ctx context.Context, s Scenario, cfg Config) (*Report, error) {
 	n := s.Shards(cfg)
 	parts := make([]*Report, n)

@@ -29,17 +29,16 @@ func Split(budget, n int) (outer, inner int) {
 
 // WorkerCount is one worker's accumulated utilization: how many units
 // it claimed and how much wall-clock time it spent running them. The
-// gap between Busy and the pool's elapsed wall time is starvation —
-// the signal BENCH_parfleet.json could not previously show.
+// gap between Busy and the pool's elapsed wall time is starvation.
 type WorkerCount struct {
 	Tasks int64
 	Busy  time.Duration
 }
 
 // Counters accumulates per-worker utilization across RunCounted calls
-// (a fleet calls the pool once per epoch; worker w's tallies sum over
-// the whole run). Wall-clock measurements only — these never feed the
-// deterministic simulation outputs.
+// (worker w's tallies sum over every call; the campaign reports them in
+// CampaignResult.Pool). Wall-clock measurements only — these never feed
+// the deterministic simulation outputs.
 type Counters struct {
 	mu      sync.Mutex
 	workers []WorkerCount

@@ -16,7 +16,7 @@ import (
 //
 // A nil *Tracer is valid everywhere one is accepted and costs nothing:
 // the instrumented code paths compile down to nil checks (zero
-// allocations, ≤1 % overhead — see BenchmarkTraceOverhead).
+// allocations, ≤1 % overhead — perfbench's obs.trace_overhead_pct).
 type Tracer = obs.Tracer
 
 // WorkerCount is one pool worker's tally (tasks claimed, busy wall

@@ -50,41 +50,13 @@ func NewPlanMemo() *PlanMemo { return plan.NewMemo() }
 // PlanOptions configures Plan. The zero value plans the standard question:
 // the E9/E11 accelerator mix at 2200 req/s against a 12 ms p99 / 1% shed
 // SLO, over the default candidate space, with at most 25 verifying
-// simulations.
-type PlanOptions struct {
-	// Workload is the stream to plan for (zero fields take the documented
-	// defaults).
-	Workload PlanWorkload
-	// SLO is the objective (zero = p99 ≤ 12 ms, shed ≤ 1%).
-	SLO PlanSLO
-	// Space overrides the candidate axes (zero = the default space).
-	Space PlanSpace
-	// Candidates short-circuits enumeration with an explicit list.
-	Candidates []PlanCandidate
-	// MaxSims bounds tier B's full fleet simulations (≤ 0 = 25). Memo
-	// hits are free.
-	MaxSims int
-	// Workers is the search's goroutine budget (≤ 1 = sequential): tier B
-	// runs min(Workers, batch) verifying simulations at once and gives
-	// each one's fleet the rest for its per-epoch board fan-out. Output is
-	// byte-identical at every setting.
-	Workers int
-	// Memo, when non-nil, is a shared simulation cache; nil uses a fresh
-	// private one.
-	Memo *PlanMemo
-}
+// simulations. Workers is the search's goroutine budget; output is
+// byte-identical at every setting.
+type PlanOptions = plan.Options
 
 // Plan runs the two-tier capacity search and returns its deterministic
 // result: the same (workload, SLO, space) always yields the same bytes,
 // whatever the worker counts or memo warmth.
 func Plan(ctx context.Context, opts PlanOptions) (*PlanResult, error) {
-	return plan.Search(ctx, plan.Options{
-		Workload:   opts.Workload,
-		SLO:        opts.SLO,
-		Space:      opts.Space,
-		Candidates: opts.Candidates,
-		MaxSims:    opts.MaxSims,
-		Workers:    opts.Workers,
-		Memo:       opts.Memo,
-	})
+	return plan.Search(ctx, opts)
 }
