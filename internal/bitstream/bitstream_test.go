@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +231,25 @@ func TestBitstreamWordsAccessor(t *testing.T) {
 	}
 	if words[len(words)-1] != NOP {
 		t.Errorf("last word = %#x, want NOP trail", words[len(words)-1])
+	}
+}
+
+func TestBuildComputesDerivedState(t *testing.T) {
+	// Build fills in everything the accessors return, so a shared image is
+	// never written after construction.
+	_, _, bs := buildStandard(t)
+	words := bs.Words()
+	body := bs.Raw[HeaderBytes:]
+	if len(body) != 4*len(words) {
+		t.Fatalf("Raw body %d bytes for %d words", len(body), len(words))
+	}
+	for i, w := range words {
+		if got := binary.BigEndian.Uint32(body[i*4:]); got != w {
+			t.Fatalf("word %d = %#x, Raw decodes to %#x", i, w, got)
+		}
+	}
+	if got, want := bs.FrameCRC(), FrameCRC(bs.Frames); got != want {
+		t.Errorf("FrameCRC() = %#x, want %#x", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/fabric"
 )
@@ -46,44 +47,26 @@ type Bitstream struct {
 	// ConfigCRC is the expected running CRC at the CRC-register write.
 	ConfigCRC uint32
 
-	// words caches the decoded config-word payload: loaders stream the same
-	// ~132 K-word image thousands of times per experiment grid, and
-	// re-decoding it per load dominated the simulator's allocation profile.
-	words []uint32
-	// frameCRC lazily caches FrameCRC(Frames) for the read-back monitor.
-	frameCRC      uint32
-	frameCRCKnown bool
+	// words is the config-word payload and frameCRC the detached frame
+	// checksum, both computed by Build: loaders stream the same ~132 K-word
+	// image thousands of times per experiment grid, and one image is read
+	// by many boards at once, so nothing is computed or written after Build.
+	words    []uint32
+	frameCRC uint32
 }
 
 // Size returns the file image size in bytes.
 func (b *Bitstream) Size() int { return len(b.Raw) }
 
-// Words returns the config-word payload (after the file header) decoded
-// back to uint32s. The decode is cached on the Bitstream and the same slice
-// is returned on every call: treat it as read-only (loaders stream it
-// directly into the DMA model).
-func (b *Bitstream) Words() []uint32 {
-	if b.words == nil {
-		body := b.Raw[HeaderBytes:]
-		out := make([]uint32, len(body)/4)
-		for i := range out {
-			out[i] = binary.BigEndian.Uint32(body[i*4:])
-		}
-		b.words = out
-	}
-	return b.words
-}
+// Words returns the config-word payload (after the file header) as uint32s:
+// exactly what the big-endian body of Raw decodes to. The same slice is
+// returned on every call: treat it as read-only (loaders stream it directly
+// into the DMA model).
+func (b *Bitstream) Words() []uint32 { return b.words }
 
 // FrameCRC returns the detached checksum of the frame payload (the golden
-// reference the CRC read-back monitor compares against), computed once and
-// cached.
-func (b *Bitstream) FrameCRC() uint32 {
-	if !b.frameCRCKnown {
-		b.frameCRC = FrameCRC(b.Frames)
-		b.frameCRCKnown = true
-	}
-	return b.frameCRC
-}
+// reference the CRC read-back monitor compares against).
+func (b *Bitstream) FrameCRC() uint32 { return b.frameCRC }
 
 // Build assembles a partial bitstream that configures region r of device dev
 // with the given frames (len must equal dev.RegionFrames(r)).
@@ -141,6 +124,7 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 	// continuation carrying the whole payload. (2 + dataWords words)
 	emit(Type1(OpWrite, RegFDRI, 0))
 	emit(Type2(OpWrite, dataWords))
+	dataStart := len(words)
 	for _, f := range frames {
 		words = append(words, f...)
 		crc.UpdateWords(RegFDRI, f)
@@ -180,6 +164,10 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 		FileCRC:   FileCRC(raw[HeaderBytes:]),
 	}
 	putHeader(raw[:HeaderBytes], hdr)
+	// The frame payload's big-endian bytes sit contiguously in raw: they
+	// are exactly what FrameCRC packs the frames into, so one pass over
+	// them gives the golden read-back checksum.
+	payload := raw[HeaderBytes+4*dataStart:][:4*dataWords]
 
 	return &Bitstream{
 		Header:    hdr,
@@ -187,9 +175,8 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 		Start:     start,
 		Frames:    frames,
 		ConfigCRC: expectCRC,
-		// The assembled word image is exactly what Words() would decode
-		// back out of Raw; keep it so loaders never re-decode.
-		words: words,
+		words:     words,
+		frameCRC:  crc32.Checksum(payload, castagnoli),
 	}, nil
 }
 

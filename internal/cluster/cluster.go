@@ -215,8 +215,11 @@ func New(cfg FleetConfig) (*Fleet, error) {
 		}
 		f.health = newHealth(cfg.Chaos, len(cfg.Boards))
 	}
+	// One image store serves every board: boards of the same part stage
+	// the same images, which are built once for the fleet's lifetime.
+	images := hll.NewImageStore()
 	for i, spec := range cfg.Boards {
-		b, err := newBoard(cfg, spec, i)
+		b, err := newBoard(cfg, spec, i, images)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: board %d (%s): %w", i, spec.Platform, err)
 		}
@@ -228,7 +231,7 @@ func New(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
+func newBoard(cfg FleetConfig, spec BoardSpec, index int, images *hll.ImageStore) (*board, error) {
 	prof, ok := platform.Lookup(spec.Platform)
 	if !ok {
 		return nil, fmt.Errorf("unknown platform %q (registered: %s)", spec.Platform, platform.NameList())
@@ -256,8 +259,7 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := prof.NewDevice()
-	image := int64(bitstream.ExpectedSize(dev.RegionFrames(prof.RPs(dev)[0])))
+	image := int64(bitstream.ExpectedSize(p.Device.RegionFrames(p.RPs[0])))
 	budget := cfg.Service.CacheBudgetBytes
 	switch {
 	case cfg.Service.CacheBudgetImages > 0:
@@ -280,6 +282,7 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 		Repair:           cfg.Service.Repair,
 		UpsetSeed:        deriveSeed(cfg.Seed, index) ^ 0x5E0D,
 		SketchQuantiles:  cfg.Service.SketchQuantiles,
+		Images:           images,
 	})
 	weighFreq := cfg.FreqMHz
 	if weighFreq <= 0 {

@@ -94,7 +94,7 @@ func TestFleetOfOneMatchesSingleBoardService(t *testing.T) {
 	tr := mustTrace(t, spec, 9, 48, mustFleet(t, cfg).RPNames())
 
 	// The reference: the fleet's own board construction, served directly.
-	ref, err := newBoard(cfg, cfg.Boards[0], 0)
+	ref, err := newBoard(cfg, cfg.Boards[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,17 @@ type Traffic struct {
 	gap     sim.Duration
 	running bool
 	moved   uint64
+
+	// issued holds the issue instants of the bursts in flight, oldest at
+	// head: the controller grants one master's bursts in FIFO order, so
+	// each completion pops the stamp of the burst it retires. A Stop
+	// followed by a Start while a burst is in flight starts a second
+	// chain, so more than one stamp can be pending. The slice is reused,
+	// so steady-state streaming does not allocate.
+	issued []sim.Time
+	head   int
+	// pumpFn and doneFn are the continuations bound once at construction.
+	pumpFn, doneFn func()
 }
 
 // NewTraffic registers a generator targeting rateMBs megabytes per second.
@@ -30,6 +41,8 @@ func NewTraffic(k *sim.Kernel, c *Controller, rateMBs float64) *Traffic {
 		master:     c.RegisterMaster(),
 		BurstBytes: 128,
 	}
+	t.pumpFn = t.pump
+	t.doneFn = t.done
 	t.SetRate(rateMBs)
 	return t
 }
@@ -56,6 +69,8 @@ func (t *Traffic) BytesMoved() uint64 { return t.moved }
 func (t *Traffic) Running() bool { return t.running }
 
 // Start begins issuing bursts; a no-op if already running or rate is zero.
+// Start does not wait for a burst issued before a Stop: if one is still in
+// flight, its chain resumes on completion beside the new one.
 func (t *Traffic) Start() {
 	if t.running || t.gap == 0 {
 		return
@@ -64,27 +79,36 @@ func (t *Traffic) Start() {
 	t.pump()
 }
 
-// Stop halts after the in-flight burst.
+// Stop halts each chain after its in-flight burst.
 func (t *Traffic) Stop() { t.running = false }
 
 func (t *Traffic) pump() {
 	if !t.running {
 		return
 	}
-	issued := t.kernel.Now()
-	t.ctrl.Request(t.master, t.BurstBytes, func() {
-		t.moved += uint64(t.BurstBytes)
-		if !t.running {
-			return
-		}
-		// Next burst at the pacing gap from issue, or immediately if the
-		// port is the bottleneck (closed-loop back-off: one outstanding).
-		next := issued.Add(t.gap)
-		now := t.kernel.Now()
-		if next <= now {
-			t.pump()
-			return
-		}
-		t.kernel.At(next, t.pump)
-	})
+	t.issued = append(t.issued, t.kernel.Now())
+	t.ctrl.Request(t.master, t.BurstBytes, t.doneFn)
+}
+
+// done retires the oldest in-flight burst.
+func (t *Traffic) done() {
+	issued := t.issued[t.head]
+	t.head++
+	if t.head == len(t.issued) {
+		t.issued = t.issued[:0]
+		t.head = 0
+	}
+	t.moved += uint64(t.BurstBytes)
+	if !t.running {
+		return
+	}
+	// Next burst at the pacing gap from issue, or immediately if the port
+	// is the bottleneck (closed-loop back-off: each chain keeps one burst
+	// outstanding).
+	next := issued.Add(t.gap)
+	if next <= t.kernel.Now() {
+		t.pump()
+		return
+	}
+	t.kernel.At(next, t.pumpFn)
 }

@@ -151,6 +151,12 @@ func (d *Device) index() {
 	}
 }
 
+// Geometry returns the geometry the device was built from (NewDevice lays
+// out Tiles tiles between the two IOB columns).
+func (d *Device) Geometry() Geometry {
+	return Geometry{Name: d.Name, IDCode: d.IDCode, Rows: d.Rows, Tiles: (len(d.Columns) - 2) / TileColumns}
+}
+
 // FramesPerRow returns the number of frames configuring one row.
 func (d *Device) FramesPerRow() int { return d.framesPerRow }
 
@@ -266,18 +272,20 @@ func (d *Device) Contains(r Region, a FrameAddr) bool {
 // rpTiles = 3) this yields the four RPs of Fig. 1, each spanning 39 columns
 // — 27 CLB, 6 BRAM and 6 DSP — for exactly 1308 frames, which together with
 // the command overhead makes the 528,760-byte partial bitstream implied by
-// Table I (see DESIGN.md §2). Tests assert the frame count.
-func TiledRPs(d *Device, rpTiles int) []Region {
+// Table I (see DESIGN.md §2). Tests assert the frame count. The plan needs
+// only the geometry, so no frame plane is built to compute it.
+func TiledRPs(g Geometry, rpTiles int) []Region {
 	width := rpTiles * TileColumns
-	if rpTiles < 1 || width > len(d.Columns)-2 {
-		panic(fmt.Sprintf("fabric: RP span of %d tiles does not fit device %s", rpTiles, d.Name))
+	columns := g.Tiles*TileColumns + 2
+	if rpTiles < 1 || width > columns-2 {
+		panic(fmt.Sprintf("fabric: RP span of %d tiles does not fit device %s", rpTiles, g.Name))
 	}
 	var rps []Region
 	name := func() string { return fmt.Sprintf("RP%d", len(rps)+1) }
-	for row := 0; row < d.Rows; row++ {
+	for row := 0; row < g.Rows; row++ {
 		rps = append(rps, Region{Name: name(), Row: row, ColStart: 1, ColEnd: 1 + width})
 	}
-	for start := 1 + width; start+width <= len(d.Columns)-1; start += width {
+	for start := 1 + width; start+width <= columns-1; start += width {
 		rps = append(rps, Region{Name: name(), Row: 0, ColStart: start, ColEnd: start + width})
 	}
 	return rps

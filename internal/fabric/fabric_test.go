@@ -48,7 +48,7 @@ func TestStandardRPsAre1308Frames(t *testing.T) {
 	// The RP size is load-bearing: 1308 frames ⇒ the 528,760-byte partial
 	// bitstream implied by Table I.
 	d := z7020()
-	rps := TiledRPs(d, 3)
+	rps := TiledRPs(d.Geometry(), 3)
 	if len(rps) != 4 {
 		t.Fatalf("want 4 RPs, got %d", len(rps))
 	}
@@ -136,7 +136,7 @@ func TestNextWalksWholeDevice(t *testing.T) {
 
 func TestRegionContains(t *testing.T) {
 	d := z7020()
-	rp := TiledRPs(d, 3)[0]
+	rp := TiledRPs(d.Geometry(), 3)[0]
 	if !d.Contains(rp, FrameAddr{Row: 0, Column: 1, Minor: 0}) {
 		t.Error("start frame should be contained")
 	}
@@ -190,7 +190,7 @@ func TestMemoryRejectsBadFrame(t *testing.T) {
 func TestMemoryRegionEqual(t *testing.T) {
 	d := z7020()
 	m := NewMemory(d)
-	rp := TiledRPs(d, 3)[1]
+	rp := TiledRPs(d.Geometry(), 3)[1]
 	n := d.RegionFrames(rp)
 	frames := make([][]uint32, n)
 	addr := rp.RegionStart()
@@ -229,7 +229,7 @@ func TestMemoryRegionEqual(t *testing.T) {
 func TestRegionFrameIndicesContiguous(t *testing.T) {
 	d := z7020()
 	m := NewMemory(d)
-	for _, rp := range TiledRPs(d, 3) {
+	for _, rp := range TiledRPs(d.Geometry(), 3) {
 		idx, err := m.RegionFrameIndices(rp)
 		if err != nil {
 			t.Fatalf("%s: %v", rp.Name, err)
@@ -263,8 +263,12 @@ func TestValidateRejectsBadRegions(t *testing.T) {
 func TestTiledRPsScaleWithGeometry(t *testing.T) {
 	// A narrower part (2 rows × 4 tiles, 2-tile RPs) must yield one RP per
 	// row plus one packed extra on row 0, each 2·436 = 872 frames.
-	d := NewDevice(Geometry{Name: "xc7z010", IDCode: 0x03722093, Rows: 2, Tiles: 4})
-	rps := TiledRPs(d, 2)
+	g := Geometry{Name: "xc7z010", IDCode: 0x03722093, Rows: 2, Tiles: 4}
+	d := NewDevice(g)
+	if d.Geometry() != g {
+		t.Fatalf("Geometry() = %+v, built from %+v", d.Geometry(), g)
+	}
+	rps := TiledRPs(g, 2)
 	if len(rps) != 3 {
 		t.Fatalf("want 3 RPs, got %d", len(rps))
 	}

@@ -54,18 +54,26 @@ type engine struct {
 	cache     *sched.Cache
 	stageRate float64
 	stageTime sim.Duration
+	// images builds the bytes a miss stages, once per content for the
+	// store's whole scope; it never changes what the cache simulates.
+	images *ImageStore
 }
 
 // newEngine assembles the per-RP state exactly as the Fig.-1 framework
 // wires it: one traffic generator per RP (registration order = platform RP
-// order) and one Clock Manager output per partition.
-func newEngine(ctrl *core.Controller, cacheBudget int64, stageRate float64) *engine {
+// order) and one Clock Manager output per partition. A nil image store
+// gives the engine its own.
+func newEngine(ctrl *core.Controller, cacheBudget int64, stageRate float64, images *ImageStore) *engine {
+	if images == nil {
+		images = NewImageStore()
+	}
 	e := &engine{
 		ctrl:      ctrl,
 		rps:       make(map[string]*rpState),
 		traffic:   make(map[string]*dram.Traffic),
 		cache:     sched.NewCache(cacheBudget),
 		stageRate: stageRate,
+		images:    images,
 	}
 	p := ctrl.Platform()
 	clocks := p.ClockManager.Names()
@@ -90,7 +98,7 @@ func (e *engine) acquire(asp workload.ASP, st *rpState) (*bitstream.Bitstream, e
 	if bs, ok := e.cache.Get(key); ok {
 		return bs, nil
 	}
-	bs, err := asp.Bitstream(e.ctrl.Platform().Device, st.region)
+	bs, err := e.images.Image(e.ctrl.Platform().Device, asp, st.region)
 	if err != nil {
 		return nil, err
 	}

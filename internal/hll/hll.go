@@ -68,7 +68,7 @@ type Framework struct {
 // keeps the legacy build-once bitstream behaviour: an unlimited cache with
 // free staging, so its simulated timing is a pure function of the trace.
 func New(ctrl *core.Controller) *Framework {
-	return &Framework{eng: newEngine(ctrl, -1, 0)}
+	return &Framework{eng: newEngine(ctrl, -1, 0, nil)}
 }
 
 // Resident returns the ASP currently configured in the RP ("" if none).

@@ -46,6 +46,11 @@ type ServiceConfig struct {
 	// within the sketch's relative error bound. The default keeps the
 	// exact backend and its byte-identical historical output.
 	SketchQuantiles bool
+	// Images is the image store cache misses build from, shared with the
+	// other services of a fleet; nil gives the service its own. It saves
+	// host work only: simulated staging and cache behaviour do not depend
+	// on it.
+	Images *ImageStore
 }
 
 // TenantStats is one traffic source's view of a service run. Every offered
@@ -171,7 +176,7 @@ func NewService(ctrl *core.Controller, cfg ServiceConfig) *Service {
 		policy = sched.FCFS()
 	}
 	s := &Service{
-		eng:    newEngine(ctrl, cfg.CacheBudgetBytes, cfg.StageBytesPerSec),
+		eng:    newEngine(ctrl, cfg.CacheBudgetBytes, cfg.StageBytesPerSec, cfg.Images),
 		cfg:    cfg,
 		policy: policy,
 		queues: make(map[string]*sched.Queue),

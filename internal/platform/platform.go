@@ -162,27 +162,31 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// NewDevice builds the part's configuration plane.
-func (p *Profile) NewDevice() *fabric.Device {
-	return fabric.NewDevice(fabric.Geometry{
+// Geometry is the part's configuration geometry.
+func (p *Profile) Geometry() fabric.Geometry {
+	return fabric.Geometry{
 		Name:   p.Part,
 		IDCode: p.Fabric.IDCode,
 		Rows:   p.Fabric.Rows,
 		Tiles:  p.Fabric.Tiles,
-	})
+	}
 }
+
+// NewDevice builds the part's configuration plane.
+func (p *Profile) NewDevice() *fabric.Device { return fabric.NewDevice(p.Geometry()) }
 
 // RPs returns the profile's reconfigurable-partition plan on a device built
 // from it.
 func (p *Profile) RPs(d *fabric.Device) []fabric.Region {
-	return fabric.TiledRPs(d, p.Fabric.RPTiles)
+	return fabric.TiledRPs(d.Geometry(), p.Fabric.RPTiles)
 }
 
 // RPNames lists the partition names of the profile's RP plan (RP1…RPn), by
 // construction in the plan's order — the single source of truth is
-// fabric.TiledRPs, so the names can never drift from the regions.
+// fabric.TiledRPs, so the names can never drift from the regions. The plan
+// is computed from the geometry alone: no device is built.
 func (p *Profile) RPNames() []string {
-	rps := p.RPs(p.NewDevice())
+	rps := fabric.TiledRPs(p.Geometry(), p.Fabric.RPTiles)
 	out := make([]string, len(rps))
 	for i, rp := range rps {
 		out[i] = rp.Name

@@ -2,8 +2,11 @@ package platform
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -213,6 +216,41 @@ func TestVariantPresetsDeriveFromZedBoard(t *testing.T) {
 	for _, v := range []*Profile{slow, hot} {
 		if v.DRAM != zed.DRAM || v.Fabric != zed.Fabric || v.Timing != zed.Timing {
 			t.Errorf("%s diverges from zedboard silicon", v.Name)
+		}
+	}
+}
+
+// TestRPNamesNeedNoDevice pins the planner's hot path: RPNames must name
+// exactly the regions of the device-built plan, for every registered
+// profile, without building the device's frame plane, whose address table
+// alone is one FrameAddr per frame (88 KB on the smallest part).
+func TestRPNamesNeedNoDevice(t *testing.T) {
+	for _, p := range All() {
+		d := p.NewDevice()
+		rps := p.RPs(d)
+		names := p.RPNames()
+		if len(names) != len(rps) {
+			t.Fatalf("%s: RPNames = %v vs %d regions", p.Name, names, len(rps))
+		}
+		for i, rp := range rps {
+			if names[i] != rp.Name {
+				t.Errorf("%s: RPNames[%d] = %q, want %q", p.Name, i, names[i], rp.Name)
+			}
+		}
+
+		const calls = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(calls, func() { p.RPNames() })
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / (calls + 1) // AllocsPerRun adds a warm-up call
+		plane := uint64(d.TotalFrames()) * uint64(unsafe.Sizeof(fabric.FrameAddr{}))
+		// A name and a plan-slice growth step per RP, plus the result.
+		if max := float64(2*len(rps) + 4); allocs > max {
+			t.Errorf("%s: RPNames makes %v allocs, want ≤ %v", p.Name, allocs, max)
+		}
+		if perCall*10 > plane {
+			t.Errorf("%s: RPNames allocates %d B per call, a tenth of the %d B frame plane or more", p.Name, perCall, plane)
 		}
 	}
 }
