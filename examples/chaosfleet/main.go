@@ -65,12 +65,14 @@ func main() {
 	fmt.Println("\n— routing policies through the identical storm —")
 	for _, router := range pdr.Routers() {
 		f, err := pdr.NewFleet(pdr.FleetOptions{
-			Boards:  make([]string, 4), // four default ZedBoards
-			Seed:    42,
-			Router:  router,
-			Prewarm: asps,    // warm caches: a crash erases real warmth
-			Repair:  "scrub", // frame-addressed repair, not a full reload
-			Chaos:   &pdr.ChaosPolicy{Schedule: schedule},
+			Boards: make([]string, 4), // four default ZedBoards
+			Seed:   42,
+			Router: router,
+			Service: pdr.ServiceConfig{
+				Prewarm: asps,    // warm caches: a crash erases real warmth
+				Repair:  "scrub", // frame-addressed repair, not a full reload
+			},
+			Chaos: &pdr.ChaosPolicy{Schedule: schedule},
 			Autoscale: &pdr.AutoscalePolicy{
 				Window:  25 * sim.Millisecond,
 				Min:     3, // one short of full: the scaler must replace dead capacity

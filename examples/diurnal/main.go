@@ -59,7 +59,7 @@ func serveDay(tr pdr.Trace, policy pdr.ScalerPolicy) *pdr.FleetStats {
 			Policy:          policy,
 			BoardRatePerSec: 200,
 		},
-		QueueCap: 8, // shallow queues: excess demand sheds in-window
+		Service: pdr.ServiceConfig{QueueCap: 8}, // shallow queues: excess demand sheds in-window
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -48,7 +48,7 @@ func main() {
 		st := serve(pdr.FleetOptions{
 			Boards:  make([]string, n), // n default ZedBoards
 			Router:  "least-outstanding",
-			Prewarm: asps,
+			Service: pdr.ServiceConfig{Prewarm: asps},
 		}, load, 192)
 		fmt.Printf("%d board(s): goodput %5.0f req/s  p99 %6.2f ms  deadline misses %3d/%d\n",
 			n, st.GoodputPerSec(), st.Aggregate.SojournUS.Quantile(0.99)/1000,
@@ -59,9 +59,10 @@ func main() {
 	skewed := pdr.ArrivalSpec{RatePerSec: 400, Skew: 1.1, Deadline: 20 * sim.Millisecond}
 	for _, router := range pdr.Routers() {
 		st := serve(pdr.FleetOptions{
-			Boards:           make([]string, 4),
-			Router:           router,
-			CacheBudgetBytes: 5 * 528760, // five images/board: residency is earned by routing
+			Boards: make([]string, 4),
+			Router: router,
+			// Five images/board: residency is earned by routing.
+			Service: pdr.ServiceConfig{CacheBudgetImages: 5},
 		}, skewed, 192)
 		fmt.Printf("%-17s: hit ratio %3.0f%%  p99 %6.2f ms\n",
 			router, 100*st.CacheHitRatio(), st.Aggregate.SojournUS.Quantile(0.99)/1000)
@@ -80,7 +81,7 @@ func main() {
 			ShedLo:  0,
 			P99LoUS: (2 * sim.Millisecond).Microseconds(),
 		},
-		Prewarm: asps,
+		Service: pdr.ServiceConfig{Prewarm: asps},
 	}, load, 192)
 	for _, ev := range st.ScaleEvents {
 		fmt.Printf("t=%6.1f ms: %d → %d boards (%s)\n", ev.AtUS/1000, ev.From, ev.To, ev.Reason)

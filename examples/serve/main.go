@@ -60,7 +60,7 @@ func main() {
 		{"DRAM cache (profile budget)", 0},
 		{"no cache (SD re-staging)   ", -1},
 	} {
-		st := serve(200, pdr.ServeOptions{CacheBudgetBytes: mode.budget, Prewarm: asps})
+		st := serve(200, pdr.ServeOptions{Service: pdr.ServiceConfig{CacheBudgetBytes: mode.budget, Prewarm: asps}})
 		fmt.Printf("%s: p50 %6.2f ms  p99 %7.2f ms  deadline misses %d/%d\n",
 			mode.label, st.SojournUS.Quantile(0.50)/1000, st.SojournUS.Quantile(0.99)/1000,
 			st.DeadlineMisses, st.Completed)
@@ -68,18 +68,18 @@ func main() {
 
 	fmt.Println("\n— dispatch policies under a thrashing 2-image cache, 150 req/s —")
 	for _, policy := range pdr.Policies() {
-		st := serve(150, pdr.ServeOptions{
-			Policy:           policy,
-			CacheBudgetBytes: 2 * 528760, // two images: far under the 16-image working set
-			Prewarm:          asps,
-		})
+		st := serve(150, pdr.ServeOptions{Service: pdr.ServiceConfig{
+			Policy:            policy,
+			CacheBudgetImages: 2, // far under the 16-image working set
+			Prewarm:           asps,
+		}})
 		fmt.Printf("%-8s: hit rate %2.0f%%  p99 %7.2f ms  evictions %d\n",
 			policy, 100*float64(st.Hits)/float64(st.Requests),
 			st.SojournUS.Quantile(0.99)/1000, st.Cache.Evictions)
 	}
 
 	fmt.Println("\n— per-tenant view (cached, 200 req/s) —")
-	st := serve(200, pdr.ServeOptions{Prewarm: asps})
+	st := serve(200, pdr.ServeOptions{Service: pdr.ServiceConfig{Prewarm: asps}})
 	for _, name := range st.TenantNames() {
 		ts := st.Tenants[name]
 		fmt.Printf("%-7s: offered %2d  completed %2d  deadline misses %d\n",

@@ -26,12 +26,10 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/bitstream"
 	"repro/internal/core"
 	"repro/internal/hll"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/workpool"
@@ -46,34 +44,11 @@ type BoardSpec struct {
 }
 
 // ServiceTemplate is the per-board service configuration every fleet board
-// is built from. Budgets resolve against each board's own profile, so a
-// mixed fleet gives every board the budget its platform affords.
-type ServiceTemplate struct {
-	// Policy is the per-board dispatch policy name ("" = fcfs).
-	Policy string
-	// CacheBudgetBytes bounds each board's DRAM bitstream cache: 0 uses
-	// the board profile's derived budget, < 0 disables the cache.
-	CacheBudgetBytes int64
-	// CacheBudgetImages, when > 0, overrides CacheBudgetBytes with
-	// n × the board's own image size — the portable way to give a mixed
-	// fleet comparably sized caches.
-	CacheBudgetImages int
-	// QueueCap is the per-RP admission depth (0 = 32).
-	QueueCap int
-	// Prewarm stages the listed ASPs into every board's cache before the
-	// stream starts (ignored on cache-disabled boards).
-	Prewarm []string
-	// Repair selects how a board clears a CRC read-back alarm: "scrub"
-	// (default, frame-wise rewrite) or "reload" (full partial
-	// reconfiguration).
-	Repair string
-	// SketchQuantiles switches every board's latency samples to the
-	// memory-bounded sketch backend (see sim.Sample.UseSketch) — O(sketch
-	// size) memory however long the horizon, quantiles within the sketch's
-	// relative error bound. Default false keeps the exact backend and
-	// byte-identical historical output.
-	SketchQuantiles bool
-}
+// is built from: hll.ServiceConfig itself, resolved by each board's
+// hll.NewService against its own profile, so a mixed fleet gives every
+// board the budget its platform affords. The fleet sets UpsetSeed and
+// Images per board.
+type ServiceTemplate = hll.ServiceConfig
 
 // FleetConfig assembles a fleet.
 type FleetConfig struct {
@@ -251,39 +226,13 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int, images *hll.ImageStore
 			return nil, err
 		}
 	}
-	policyName := cfg.Service.Policy
-	if policyName == "" {
-		policyName = "fcfs"
-	}
-	policy, err := sched.PolicyByName(policyName)
+	scfg := cfg.Service
+	scfg.UpsetSeed = deriveSeed(cfg.Seed, index) ^ 0x5E0D
+	scfg.Images = images
+	svc, err := hll.NewService(ctrl, scfg)
 	if err != nil {
 		return nil, err
 	}
-	image := int64(bitstream.ExpectedSize(p.Device.RegionFrames(p.RPs[0])))
-	budget := cfg.Service.CacheBudgetBytes
-	switch {
-	case cfg.Service.CacheBudgetImages > 0:
-		budget = int64(cfg.Service.CacheBudgetImages) * image
-	case budget == 0:
-		budget = prof.BitstreamCacheBytes()
-	case budget < 0:
-		budget = 0 // hll semantics: 0 disables
-	}
-	queueCap := cfg.Service.QueueCap
-	if queueCap == 0 {
-		queueCap = 32
-	}
-	svc := hll.NewService(ctrl, hll.ServiceConfig{
-		Policy:           policy,
-		CacheBudgetBytes: budget,
-		QueueCap:         queueCap,
-		StageBytesPerSec: prof.IO.SDBytesPerSec,
-		PrewarmASPs:      cfg.Service.Prewarm,
-		Repair:           cfg.Service.Repair,
-		UpsetSeed:        deriveSeed(cfg.Seed, index) ^ 0x5E0D,
-		SketchQuantiles:  cfg.Service.SketchQuantiles,
-		Images:           images,
-	})
 	weighFreq := cfg.FreqMHz
 	if weighFreq <= 0 {
 		weighFreq = prof.Clock.NominalMHz
@@ -335,16 +284,10 @@ func (f *Fleet) workers() int {
 // so the fan-out runs on up to workers goroutines, with two deterministic
 // folds afterwards: buffered completions flush into the autoscaler in
 // board-index order, and the lowest-index error (if any) is the one
-// reported, matching the sequential loop's first-failure semantics. Boards
-// with nothing queued take the SkipTo fast path — one RunUntil instead of
-// the dispatch loop's per-wake scaffolding.
+// reported, matching the sequential loop's first-failure semantics.
 func (f *Fleet) advanceAll(now sim.Duration, workers int, errs []error) error {
 	workpool.Run(len(f.boards), workers, func(i int) {
-		b := f.boards[i]
-		if b.svc.SkipTo(now) {
-			return
-		}
-		errs[i] = b.svc.AdvanceTo(now)
+		errs[i] = f.boards[i].svc.AdvanceTo(now)
 	})
 	f.flushCompletions()
 	for i, err := range errs {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/bitstream"
 	"repro/internal/hll"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -141,7 +140,11 @@ func servePoint(src *envSource, tr workload.Trace, scfg hll.ServiceConfig) (hll.
 	if _, err := env.Controller.SetFrequencyMHz(serveFreqMHz); err != nil {
 		return hll.ServiceStats{}, err
 	}
-	return hll.NewService(env.Controller, scfg).Serve(tr)
+	svc, err := hll.NewService(env.Controller, scfg)
+	if err != nil {
+		return hll.ServiceStats{}, err
+	}
+	return svc.Serve(tr)
 }
 
 func ms(us float64) string { return fmt.Sprintf("%.2f", us/1000) }
@@ -184,17 +187,16 @@ func satShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 			label  string
 			budget int64
 		}{
-			{"cache", prof.BitstreamCacheBytes()},
-			{"none", 0},
+			{"cache", 0}, // the profile's derived budget
+			{"none", -1},
 		} {
 			stats, err := servePoint(src, tr, hll.ServiceConfig{
 				CacheBudgetBytes: mode.budget,
 				QueueCap:         serveQueueCap,
-				StageBytesPerSec: prof.IO.SDBytesPerSec,
 				// Steady-state residency: the cache run measures a warm
 				// deployment; the no-cache ablation ignores the prewarm and
 				// re-stages on every reconfiguration.
-				PrewarmASPs: satASPs,
+				Prewarm: satASPs,
 			})
 			if err != nil {
 				return nil, err
@@ -307,34 +309,12 @@ var schedHeader = []string{
 
 func schedShards(Config) int { return len(sched.PolicyNames()) }
 
-// schedBudgets is the cache-budget axis: a thrashing 4-image cache, a
-// 12-image cache just under the 16-image working set, and the platform
-// profile's derived budget (which holds it all).
-func schedBudgets(prof *platform.Profile) []struct {
-	label string
-	bytes int64
-} {
-	dev := prof.NewDevice()
-	image := int64(bitstream.ExpectedSize(dev.RegionFrames(prof.RPs(dev)[0])))
-	return []struct {
-		label string
-		bytes int64
-	}{
-		{"4 images", 4 * image},
-		{"12 images", 12 * image},
-		{"profile", prof.BitstreamCacheBytes()},
-	}
-}
-
 func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	names := sched.PolicyNames()
 	if shard < 0 || shard >= len(names) {
 		return nil, fmt.Errorf("experiments: sched shard %d out of range", shard)
 	}
-	policy, err := sched.PolicyByName(names[shard])
-	if err != nil {
-		return nil, err
-	}
+	policy := names[shard]
 	prof, err := ProfileFor(env.Cfg)
 	if err != nil {
 		return nil, err
@@ -352,25 +332,34 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	}
 
 	rep := &Report{ID: "E12", Title: schedTitle}
-	series := sim.Series{Name: "e12_" + policy.Name(), XLabel: "budget_index", YLabel: "p99_sojourn_us"}
+	series := sim.Series{Name: "e12_" + policy, XLabel: "budget_index", YLabel: "p99_sojourn_us"}
 	src := newEnvSource(env.Cfg, env)
-	for bi, budget := range schedBudgets(prof) {
+	// The cache-budget axis: a thrashing 4-image cache, a 12-image cache
+	// just under the 16-image working set, and the platform profile's
+	// derived budget (which holds it all).
+	for bi, budget := range []struct {
+		label  string
+		images int
+	}{
+		{"4 images", 4},
+		{"12 images", 12},
+		{"profile", 0},
+	} {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		stats, err := servePoint(src, tr, hll.ServiceConfig{
-			Policy:           policy,
-			CacheBudgetBytes: budget.bytes,
-			QueueCap:         serveQueueCap,
-			StageBytesPerSec: prof.IO.SDBytesPerSec,
-			PrewarmASPs:      satASPs,
+			Policy:            policy,
+			CacheBudgetImages: budget.images,
+			QueueCap:          serveQueueCap,
+			Prewarm:           satASPs,
 		})
 		if err != nil {
 			return nil, err
 		}
 		p99 := stats.SojournUS.Quantile(0.99)
 		rep.Rows = append(rep.Rows, []string{
-			policy.Name(), budget.label,
+			policy, budget.label,
 			strconv.Itoa(stats.Offered), strconv.Itoa(stats.Completed), strconv.Itoa(stats.Shed),
 			hitRate(stats),
 			strconv.Itoa(stats.Cache.Hits), strconv.Itoa(stats.Cache.Evictions),

@@ -13,7 +13,7 @@ import (
 // and a recovered service admits and completes again.
 func TestCrashDropsWorkAndRecoverServes(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: -1, QueueCap: 8})
+	s := mustService(t, c, ServiceConfig{QueueCap: 8})
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,9 @@ func TestCrashDropsWorkAndRecoverServes(t *testing.T) {
 func repairRun(t *testing.T, repair string) ServiceStats {
 	t.Helper()
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{
-		CacheBudgetBytes: -1,
-		Repair:           repair,
-		UpsetSeed:        7,
+	s := mustService(t, c, ServiceConfig{
+		Repair:    repair,
+		UpsetSeed: 7,
 	})
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
@@ -148,7 +147,7 @@ func TestScrubRepairBeatsFullReload(t *testing.T) {
 // TestUpsetAgainstEmptyBoard: nothing resident, nothing to corrupt.
 func TestUpsetAgainstEmptyBoard(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: -1})
+	s := mustService(t, c, ServiceConfig{})
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
+	"repro/internal/zynq"
 )
 
 // rpState tracks one partition.
@@ -82,11 +83,16 @@ func newEngine(ctrl *core.Controller, cacheBudget int64, stageRate float64, imag
 		e.rps[rp.Name] = &rpState{
 			region:     rp,
 			clock:      clocks[i%len(clocks)],
-			imageBytes: bitstream.ExpectedSize(p.Device.RegionFrames(rp)),
+			imageBytes: imageBytes(p, rp),
 		}
 		e.traffic[rp.Name] = dram.NewTraffic(p.Kernel, p.DDR, 0)
 	}
 	return e
+}
+
+// imageBytes is the partial-bitstream size of a partition on the platform.
+func imageBytes(p *zynq.Platform, rp fabric.Region) int {
+	return bitstream.ExpectedSize(p.Device.RegionFrames(rp))
 }
 
 // acquire returns the ASP's image for the RP, staging it into the DRAM

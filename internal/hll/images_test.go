@@ -80,12 +80,7 @@ func TestImageStoreSharedAcrossBoards(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.ConfigureStatic()
-		svc := NewService(core.New(p), ServiceConfig{
-			CacheBudgetBytes: -1,
-			StageBytesPerSec: p.Profile.IO.SDBytesPerSec,
-			PrewarmASPs:      asps,
-			Images:           store,
-		})
+		svc := mustService(t, core.New(p), ServiceConfig{Prewarm: asps, Images: store})
 		if err := svc.Begin(); err != nil {
 			t.Fatal(err)
 		}

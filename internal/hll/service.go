@@ -12,45 +12,74 @@ import (
 	"repro/internal/workload"
 )
 
-// ServiceConfig parameterises the reconfiguration service.
+// ServiceConfig is a board's service settings, the one declaration the
+// fleet template, the pdr options and the scenarios all share. NewService
+// resolves it once, against the controller's own platform profile, so a
+// mixed fleet gives every board the budget and staging rate its platform
+// affords. The zero value is FCFS dispatch, the profile's cache budget,
+// 32-deep per-RP queues and scrub repair.
 type ServiceConfig struct {
-	// Policy picks the next dispatch among queued requests on free
-	// partitions (nil = FCFS).
-	Policy sched.Policy
-	// CacheBudgetBytes bounds the DRAM-resident bitstream cache: < 0 is
-	// unlimited, 0 disables caching entirely (the no-cache ablation — every
-	// reconfiguration re-stages its image from the backing store).
+	// Policy is the dispatch policy name ("" = fcfs; see
+	// sched.PolicyNames).
+	Policy string
+	// CacheBudgetBytes bounds the DRAM-resident bitstream cache: 0 uses
+	// the profile's derived budget, < 0 disables caching entirely (the
+	// no-cache ablation: every reconfiguration re-stages its image from
+	// the SD card at the profile rate), > 0 is an explicit budget.
 	CacheBudgetBytes int64
-	// QueueCap is the per-RP admission-control depth; ≤ 0 is unbounded.
+	// CacheBudgetImages, when > 0, overrides CacheBudgetBytes with n ×
+	// this board's image size — the portable way to give a mixed fleet
+	// comparably sized caches.
+	CacheBudgetImages int
+	// QueueCap is the per-RP admission-control depth (0 = 32, < 0 =
+	// unbounded).
 	QueueCap int
-	// StageBytesPerSec is the backing-store rate a cache miss pays to stage
-	// the image into DRAM (the platform profile's SD-card rate in the
-	// scenarios); 0 makes staging free.
-	StageBytesPerSec float64
-	// PrewarmASPs stages the listed ASPs' images for every partition into
+	// Prewarm stages the listed ASPs' images for every partition into
 	// the cache before the stream starts — the steady-state residency a
 	// long-running deployment has. The staging time is paid before the
 	// measurement window opens; a disabled cache ignores it (the no-cache
 	// ablation pays full staging on every reconfiguration by design).
-	PrewarmASPs []string
+	Prewarm []string
 	// Repair selects how a raised CRC alarm is cleared before the resident
 	// ASP runs again: "scrub" (default) rewrites only the damaged frames
 	// through the ICAP, "reload" performs a full partial reconfiguration.
 	Repair string
-	// UpsetSeed seeds the configuration-memory upset injector RaiseCRCUpset
-	// draws from (0 keeps a fixed default stream).
-	UpsetSeed uint64
 	// SketchQuantiles switches the latency samples (queue wait, service,
 	// sojourn) to the memory-bounded sketch backend (sim.Sample.UseSketch)
 	// — O(sketch size) memory however long the stream runs, quantiles
-	// within the sketch's relative error bound. The default keeps the
-	// exact backend and its byte-identical historical output.
+	// within the sketch's ≈ 0.78 % relative error bound. The default keeps
+	// the exact backend and its byte-identical historical output.
 	SketchQuantiles bool
+	// UpsetSeed seeds the configuration-memory upset injector RaiseCRCUpset
+	// draws from (0 keeps a fixed default stream). A fleet derives it per
+	// board and overrides any value set here.
+	UpsetSeed uint64
 	// Images is the image store cache misses build from, shared with the
 	// other services of a fleet; nil gives the service its own. It saves
 	// host work only: simulated staging and cache behaviour do not depend
-	// on it.
+	// on it. A fleet sets its own store and overrides any value set here.
 	Images *ImageStore
+}
+
+// Validate rejects unknown policy and repair names without building
+// anything, so a misconfigured fleet fails before any board boots.
+func (c ServiceConfig) Validate() error {
+	if _, err := c.policy(); err != nil {
+		return err
+	}
+	switch c.Repair {
+	case "", "scrub", "reload":
+		return nil
+	}
+	return fmt.Errorf("hll: unknown repair mode %q (want scrub|reload)", c.Repair)
+}
+
+// policy resolves the dispatch policy name ("" = fcfs).
+func (c ServiceConfig) policy() (sched.Policy, error) {
+	if c.Policy == "" {
+		return sched.FCFS(), nil
+	}
+	return sched.PolicyByName(c.Policy)
 }
 
 // TenantStats is one traffic source's view of a service run. Every offered
@@ -169,14 +198,30 @@ type Service struct {
 	tids map[string]int32
 }
 
-// NewService builds the service on a platform-backed controller.
-func NewService(ctrl *core.Controller, cfg ServiceConfig) *Service {
-	policy := cfg.Policy
-	if policy == nil {
-		policy = sched.FCFS()
+// NewService validates the configuration, resolves it against the
+// controller's platform profile and builds the service: the one place a
+// cache budget, queue cap, staging rate or policy name is resolved.
+func NewService(ctrl *core.Controller, cfg ServiceConfig) (*Service, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	policy, _ := cfg.policy() // validated above
+	p := ctrl.Platform()
+	budget := cfg.CacheBudgetBytes
+	switch {
+	case cfg.CacheBudgetImages > 0:
+		budget = int64(cfg.CacheBudgetImages) * int64(imageBytes(p, p.RPs[0]))
+	case budget == 0:
+		budget = p.Profile.BitstreamCacheBytes()
+	case budget < 0:
+		budget = 0 // sched.Cache: 0 disables
+	}
+	queueCap := cfg.QueueCap
+	if queueCap == 0 {
+		queueCap = 32
 	}
 	s := &Service{
-		eng:    newEngine(ctrl, cfg.CacheBudgetBytes, cfg.StageBytesPerSec, cfg.Images),
+		eng:    newEngine(ctrl, budget, p.Profile.IO.SDBytesPerSec, cfg.Images),
 		cfg:    cfg,
 		policy: policy,
 		queues: make(map[string]*sched.Queue),
@@ -189,9 +234,9 @@ func NewService(ctrl *core.Controller, cfg ServiceConfig) *Service {
 		s.stats.SojournUS.UseSketch()
 	}
 	for _, name := range s.eng.order {
-		s.queues[name] = sched.NewQueue(cfg.QueueCap)
+		s.queues[name] = sched.NewQueue(queueCap)
 	}
-	return s
+	return s, nil
 }
 
 // Stats returns the accumulated statistics.
@@ -281,7 +326,7 @@ func (s *Service) prewarm() error {
 	if !s.eng.cache.Enabled() {
 		return nil
 	}
-	for _, name := range s.cfg.PrewarmASPs {
+	for _, name := range s.cfg.Prewarm {
 		asp, err := workload.LibraryASP(name)
 		if err != nil {
 			return err
@@ -825,7 +870,10 @@ func (s *Service) Offer(req workload.Request) (bool, error) {
 // same order Serve establishes by admitting arrivals before dispatching. A
 // synchronous reconfiguration may overrun the target (as in Serve, where
 // arrivals during a transfer wait for the dispatcher); later calls with an
-// already-passed target are no-ops.
+// already-passed target are no-ops. With nothing queued, dispatch is a
+// no-op and nothing enqueues mid-advance, so the idle board runs straight
+// to the target in one RunUntil; the kernel still fires every event on
+// the way.
 func (s *Service) AdvanceTo(rel sim.Duration) error {
 	if !s.started || s.finished {
 		return fmt.Errorf("hll: service: AdvanceTo outside an open session")
@@ -835,6 +883,10 @@ func (s *Service) AdvanceTo(rel sim.Duration) error {
 	for {
 		now := k.Now()
 		if now >= target {
+			return nil
+		}
+		if s.queued == 0 {
+			k.RunUntil(target)
 			return nil
 		}
 		served, err := s.dispatchOne(now)
@@ -852,31 +904,6 @@ func (s *Service) AdvanceTo(rel sim.Duration) error {
 		}
 		k.RunUntil(wake)
 	}
-}
-
-// SkipTo is AdvanceTo's idle fast path for the fleet's epoch loop: with
-// nothing queued, dispatchOne is a pure no-op (phase 1 skips empty queues,
-// phase 2 has no candidates, and nothing can enqueue mid-advance), so
-// AdvanceTo's dispatch loop collapses to a single RunUntil(target). The
-// kernel still fires every event on the way — meter samples, thermal steps,
-// in-flight completions — exactly as AdvanceTo would; what SkipTo skips is
-// the per-wake dispatch scaffolding (candidate scans, busy-slot walks), not
-// simulated work. It returns true when it advanced the board (caller skips
-// AdvanceTo), false when queued work needs the real loop. The clock must
-// move on a skip — deferring it would leave later dispatches running at a
-// stale now and change the output.
-func (s *Service) SkipTo(rel sim.Duration) bool {
-	if !s.started || s.finished {
-		return false // let AdvanceTo surface the session error
-	}
-	if s.queued > 0 {
-		return false
-	}
-	k := s.eng.ctrl.Platform().Kernel
-	if target := s.start.Add(rel); k.Now() < target {
-		k.RunUntil(target)
-	}
-	return true
 }
 
 // Drain serves everything still outstanding, closes the measurement window

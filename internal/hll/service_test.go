@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/zynq"
@@ -25,6 +24,15 @@ func newServiceController(t *testing.T) *core.Controller {
 	return c
 }
 
+func mustService(t *testing.T, c *core.Controller, cfg ServiceConfig) *Service {
+	t.Helper()
+	s, err := NewService(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func mustTrace(t *testing.T) func(workload.Trace, error) workload.Trace {
 	t.Helper()
 	return func(tr workload.Trace, err error) workload.Trace {
@@ -37,7 +45,7 @@ func mustTrace(t *testing.T) func(workload.Trace, error) workload.Trace {
 
 func TestServeCompletesEveryAdmittedRequest(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: -1})
+	s := mustService(t, c, ServiceConfig{QueueCap: -1})
 	tr := mustTrace(t)(workload.OpenPoisson(5, 40, 300,
 		[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm"}))
 	stats, err := s.Serve(tr)
@@ -71,7 +79,11 @@ func TestServeOverlapsComputeAcrossRPs(t *testing.T) {
 			{At: 0, RP: "RP2", ASP: "matmul8"},
 		}
 		if open {
-			stats, err := NewService(c, ServiceConfig{CacheBudgetBytes: -1}).Serve(tr)
+			// Prewarm stages matmul8 before the window opens: the
+			// closed-loop replayer stages for free, so the makespans
+			// compare dispatch alone.
+			svc := mustService(t, c, ServiceConfig{Prewarm: []string{"matmul8"}})
+			stats, err := svc.Serve(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +103,7 @@ func TestServeOverlapsComputeAcrossRPs(t *testing.T) {
 
 func TestServeShedsUnderQueueCap(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: -1, QueueCap: 2})
+	s := mustService(t, c, ServiceConfig{QueueCap: 2})
 	// A burst of simultaneous same-RP requests: 2 queue, the rest shed
 	// (minus the one dispatched immediately).
 	tr := workload.Trace{}
@@ -115,7 +127,7 @@ func TestServeShedsUnderQueueCap(t *testing.T) {
 
 func TestServeCountsDeadlineMissesAndTenants(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: -1})
+	s := mustService(t, c, ServiceConfig{QueueCap: -1})
 	spec := workload.ArrivalSpec{
 		RatePerSec: 2000, // well past one RP's reconfig capacity
 		Tenants:    []string{"alpha", "beta"},
@@ -148,14 +160,11 @@ func TestServeCountsDeadlineMissesAndTenants(t *testing.T) {
 
 func TestServeCacheBudgetForcesStaging(t *testing.T) {
 	// With a budget of one image and staging priced at the SD rate, every
-	// swap between two ASPs on one RP re-stages; unlimited cache stages
-	// each image once.
+	// swap between two ASPs on one RP re-stages; the profile budget holds
+	// both images and stages each once.
 	run := func(budget int64) ServiceStats {
 		c := newServiceController(t)
-		s := NewService(c, ServiceConfig{
-			CacheBudgetBytes: budget,
-			StageBytesPerSec: 20e6,
-		})
+		s := mustService(t, c, ServiceConfig{CacheBudgetBytes: budget})
 		tr := workload.Trace{}
 		for i := 0; i < 6; i++ {
 			asp := "fir128"
@@ -171,7 +180,7 @@ func TestServeCacheBudgetForcesStaging(t *testing.T) {
 		return stats
 	}
 	one := run(600_000) // holds one 528,760-byte image
-	all := run(-1)
+	all := run(0)
 	if one.Cache.Evictions == 0 {
 		t.Error("one-image budget must evict on every swap")
 	}
@@ -188,7 +197,7 @@ func TestServeCacheBudgetForcesStaging(t *testing.T) {
 
 func TestServeNoCacheAblationStagesEveryReconfig(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{CacheBudgetBytes: 0, StageBytesPerSec: 20e6})
+	s := mustService(t, c, ServiceConfig{CacheBudgetBytes: -1})
 	tr := workload.Trace{
 		{At: 0, RP: "RP1", ASP: "fir128"},
 		{At: 100 * sim.Millisecond, RP: "RP1", ASP: "fir128"}, // resident hit: no restage
@@ -224,17 +233,17 @@ func TestAffinityPolicyBeatsFCFSOnHitRate(t *testing.T) {
 		}
 		return tr
 	}
-	run := func(p sched.Policy) ServiceStats {
+	run := func(policy string) ServiceStats {
 		c := newServiceController(t)
-		s := NewService(c, ServiceConfig{Policy: p, CacheBudgetBytes: -1})
+		s := mustService(t, c, ServiceConfig{Policy: policy})
 		stats, err := s.Serve(trace())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
-	fcfs := run(sched.FCFS())
-	aff := run(sched.Affinity())
+	fcfs := run("fcfs")
+	aff := run("affinity")
 	if aff.Hits <= fcfs.Hits {
 		t.Errorf("affinity hits %d should beat FCFS %d", aff.Hits, fcfs.Hits)
 	}
@@ -246,11 +255,10 @@ func TestAffinityPolicyBeatsFCFSOnHitRate(t *testing.T) {
 func TestServeDeterministic(t *testing.T) {
 	run := func() (ServiceStats, uint64) {
 		c := newServiceController(t)
-		s := NewService(c, ServiceConfig{
-			Policy:           sched.SBF(),
-			CacheBudgetBytes: 2 * 528760,
-			QueueCap:         8,
-			StageBytesPerSec: 20e6,
+		s := mustService(t, c, ServiceConfig{
+			Policy:            "sbf",
+			CacheBudgetImages: 2,
+			QueueCap:          8,
 		})
 		tr := mustTrace(t)(workload.OpenBursts(21, 48, 800, 4, 6,
 			[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm", "fft1k"}))
@@ -279,23 +287,22 @@ func TestServeDeterministic(t *testing.T) {
 // same simulated timing.
 func TestSessionMatchesServe(t *testing.T) {
 	cfg := ServiceConfig{
-		Policy:           sched.SBF(),
-		CacheBudgetBytes: 2 * 528760, // thrashes: staging and eviction on most swaps
-		QueueCap:         8,
-		StageBytesPerSec: 20e6,
-		PrewarmASPs:      []string{"fir128"},
+		Policy:            "sbf",
+		CacheBudgetImages: 2, // thrashes: staging and eviction on most swaps
+		QueueCap:          8,
+		Prewarm:           []string{"fir128"},
 	}
 	tr := mustTrace(t)(workload.OpenBursts(21, 48, 800, 4, 6,
 		[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm", "fft1k"}))
 
 	cA := newServiceController(t)
-	served, err := NewService(cA, cfg).Serve(tr)
+	served, err := mustService(t, cA, cfg).Serve(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cB := newServiceController(t)
-	s := NewService(cB, cfg)
+	s := mustService(t, cB, cfg)
 	completions := 0
 	s.SetOnComplete(func(rel, sojourn sim.Duration) {
 		completions++
@@ -334,9 +341,55 @@ func TestSessionMatchesServe(t *testing.T) {
 	}
 }
 
+// TestSessionAdvanceToIdleGuards pins AdvanceTo's idle path and the O(1)
+// queue counter it relies on: an idle board lands exactly on start+rel, an
+// already-passed target leaves the clock alone, and queued work still goes
+// through dispatch.
+func TestSessionAdvanceToIdleGuards(t *testing.T) {
+	c := newServiceController(t)
+	s := mustService(t, c, ServiceConfig{})
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Queued() != 0 {
+		t.Fatalf("fresh session queued = %d, want 0", s.Queued())
+	}
+
+	k := c.Platform().Kernel
+	start := k.Now()
+	if err := s.AdvanceTo(5 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.Now(); got != start.Add(5*sim.Millisecond) {
+		t.Errorf("idle advance left the clock at %v, want start+5ms", got)
+	}
+	if err := s.AdvanceTo(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.Now(); got != start.Add(5*sim.Millisecond) {
+		t.Errorf("past-target advance moved the clock to %v", got)
+	}
+
+	if _, err := s.Offer(workload.Request{At: 5 * sim.Millisecond, RP: "RP1", ASP: "fir128"}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Queued() != 1 {
+		t.Errorf("queued = %d after Offer, want 1 (dispatch waits for AdvanceTo)", s.Queued())
+	}
+	if err := s.AdvanceTo(20 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if s.Queued() != 0 {
+		t.Errorf("queued = %d after dispatch, want 0", s.Queued())
+	}
+	if st, err := s.Drain(); err != nil || st.Completed != 1 {
+		t.Fatalf("drain: completed = %d, err = %v", st.Completed, err)
+	}
+}
+
 func TestSessionLifecycleErrors(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{})
+	s := mustService(t, c, ServiceConfig{})
 	if _, err := s.Offer(workload.Request{RP: "RP1", ASP: "fir128"}); err == nil {
 		t.Error("Offer before Begin must fail")
 	}
@@ -361,7 +414,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 
 	// A service serves exactly one stream: consumed by Serve, it must
 	// reject both another Serve and a session.
-	used := NewService(newServiceController(t), ServiceConfig{})
+	used := mustService(t, newServiceController(t), ServiceConfig{})
 	tr := workload.Trace{{RP: "RP1", ASP: "fir128"}}
 	if _, err := used.Serve(tr); err != nil {
 		t.Fatal(err)
@@ -393,7 +446,7 @@ func TestServeZeroDeadlineNeverMisses(t *testing.T) {
 	c := newServiceController(t)
 	// No cache + slow staging: every request pays tens of milliseconds, so
 	// any spurious deadline accounting would trip immediately.
-	s := NewService(c, ServiceConfig{StageBytesPerSec: 20e6})
+	s := mustService(t, c, ServiceConfig{CacheBudgetBytes: -1, QueueCap: -1})
 	spec := workload.ArrivalSpec{RatePerSec: 400, Tenants: []string{"a", "b"}} // Deadline: 0
 	tr := mustTrace(t)(spec.Generate(11, 24, []string{"RP1", "RP2"}, []string{"fir128", "sha3"}))
 	stats, err := s.Serve(tr)
@@ -418,7 +471,7 @@ func TestServeZeroDeadlineNeverMisses(t *testing.T) {
 
 func TestServeValidatesAtTheDoor(t *testing.T) {
 	c := newServiceController(t)
-	s := NewService(c, ServiceConfig{})
+	s := mustService(t, c, ServiceConfig{})
 	if _, err := s.Serve(workload.Trace{{RP: "RP9", ASP: "fir128"}}); err == nil {
 		t.Error("unknown RP must fail")
 	}

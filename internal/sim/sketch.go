@@ -7,14 +7,14 @@ import "math"
 // HDR style. Positive values land in base-2 exponent buckets split into
 // sketchSubBuckets linear sub-buckets each, so a bucket spans a relative
 // width of 2^-sketchSubBits and reporting its midpoint bounds the relative
-// quantile error at 2^-(sketchSubBits+1) ≈ 1.6 %. Counts are integers and
+// quantile error at 2^-(sketchSubBits+1) ≈ 0.78 %. Counts are integers and
 // bucket indexing is pure float arithmetic on the value alone, so a sketch
 // is a deterministic function of the multiset of observations — merging
 // per-board sketches in board-index order is byte-stable like the exact
 // merge, and (unlike it) even order-independent.
 //
 // Memory is O(sketchBuckets) however many values arrive: the whole counts
-// array is sketchBuckets × 8 bytes ≈ 16 KB, allocated lazily on the first
+// array is sketchBuckets × 8 bytes = 32 KiB, allocated lazily on the first
 // observation. Moments (count, sum, sum of squares) and the exact min/max
 // ride alongside, so Mean, StdDev, Min and Max stay available; only the
 // interior quantiles are approximate.

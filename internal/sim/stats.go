@@ -14,7 +14,7 @@ import (
 // memory. UseSketch switches to a memory-bounded log-linear histogram
 // (see sketch.go) for long-horizon runs: O(sketch size) memory however
 // many values arrive, exact moments and min/max, interior quantiles within
-// a ~1.6 % relative error bound.
+// a ≈ 0.78 % relative error bound.
 type Sample struct {
 	values []float64
 	sorted bool

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -77,18 +76,10 @@ type FleetOptions struct {
 	FreqMHz float64
 	// Router is the routing policy name ("" = round-robin; see Routers).
 	Router string
-	// Policy is the per-board dispatch policy name ("" = fcfs; see
-	// Policies).
-	Policy string
-	// CacheBudgetBytes bounds each board's DRAM bitstream cache with the
-	// System.Serve semantics: 0 uses the board profile's derived budget,
-	// < 0 disables the cache entirely.
-	CacheBudgetBytes int64
-	// QueueCap is the per-RP admission-control depth (0 = 32).
-	QueueCap int
-	// Prewarm stages the listed ASPs into every board's cache before each
-	// stream (steady-state residency).
-	Prewarm []string
+	// Service is every board's service configuration, resolved against
+	// each board's own profile (see ServiceConfig). The fleet sets
+	// UpsetSeed and Images per board.
+	Service ServiceConfig
 	// Autoscale, when non-nil, starts each run at Min active boards and
 	// reacts to windowed shed-rate and p99 signals. Nil keeps the whole
 	// fleet active.
@@ -97,21 +88,11 @@ type FleetOptions struct {
 	// turns on the self-healing machinery. Build the schedule with a
 	// FaultStorm (seeded, deterministic) or hand-write the events.
 	Chaos *ChaosPolicy
-	// Repair selects how a board clears a CRC read-back alarm: "scrub"
-	// (default, frame-addressed rewrite) or "reload" (full partial
-	// reconfiguration).
-	Repair string
 	// Workers bounds the goroutines the fleet's per-epoch board advance
 	// (and final drain) fans out over: 0 or 1 runs the historical
 	// sequential loop, < 0 means one worker per available CPU. Purely a
 	// wall-clock knob — Serve's output is byte-identical at every setting.
 	Workers int
-	// SketchQuantiles switches every board's latency samples to the
-	// memory-bounded sketch backend: O(sketch size) memory however long
-	// the horizon, at the cost of quantiles becoming estimates within the
-	// sketch's ~1.6 % relative error bound (moments and min/max stay
-	// exact). Default false keeps the exact backend bit for bit.
-	SketchQuantiles bool
 	// Tracer, when non-nil, records each Serve call's request spans,
 	// control-plane events and sim-time metrics under the key
 	// "fleet/NN" (NN = the fleet's Serve ordinal). Tracing never
@@ -150,10 +131,8 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 			return nil, fmt.Errorf("pdr: %w", err)
 		}
 	}
-	if o.Policy != "" {
-		if _, err := sched.PolicyByName(o.Policy); err != nil {
-			return nil, fmt.Errorf("pdr: %w", err)
-		}
+	if err := o.Service.Validate(); err != nil {
+		return nil, fmt.Errorf("pdr: %w", err)
 	}
 	if o.Autoscale != nil {
 		if err := o.Autoscale.Validate(len(specs)); err != nil {
@@ -207,7 +186,6 @@ func (f *Fleet) build(ft *obs.FleetTrace) (*cluster.Fleet, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	budget := o.CacheBudgetBytes // cluster shares the System.Serve semantics
 	cf, err := cluster.New(cluster.FleetConfig{
 		Boards:     specs,
 		Seed:       seed,
@@ -217,14 +195,7 @@ func (f *Fleet) build(ft *obs.FleetTrace) (*cluster.Fleet, error) {
 		Chaos:      o.Chaos,
 		Workers:    workers,
 		Trace:      ft,
-		Service: cluster.ServiceTemplate{
-			Policy:           o.Policy,
-			CacheBudgetBytes: budget,
-			QueueCap:         o.QueueCap,
-			Prewarm:          o.Prewarm,
-			Repair:           o.Repair,
-			SketchQuantiles:  o.SketchQuantiles,
-		},
+		Service:    o.Service,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pdr: %w", err)

@@ -16,7 +16,7 @@ func TestFleetServeEndToEnd(t *testing.T) {
 		Boards:  []string{"zedboard", "zedboard", "zedboard"},
 		Seed:    42,
 		Router:  "least-outstanding",
-		Prewarm: fleetASPs,
+		Service: pdr.ServiceConfig{Prewarm: fleetASPs},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestFleetAutoscaleOption(t *testing.T) {
 			ShedHi:  0.01,
 			P99HiUS: 10_000,
 		},
-		Prewarm: fleetASPs,
+		Service: pdr.ServiceConfig{Prewarm: fleetASPs},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +118,11 @@ func TestFleetOptionErrors(t *testing.T) {
 	if _, err := pdr.NewFleet(pdr.FleetOptions{Router: "nope"}); err == nil || !strings.Contains(err.Error(), "unknown router") {
 		t.Errorf("unknown router accepted (err = %v)", err)
 	}
-	if _, err := pdr.NewFleet(pdr.FleetOptions{Policy: "nope"}); err == nil {
+	if _, err := pdr.NewFleet(pdr.FleetOptions{Service: pdr.ServiceConfig{Policy: "nope"}}); err == nil {
 		t.Error("unknown dispatch policy accepted")
+	}
+	if _, err := pdr.NewFleet(pdr.FleetOptions{Service: pdr.ServiceConfig{Repair: "relaod"}}); err == nil || !strings.Contains(err.Error(), "reload") {
+		t.Errorf("unknown repair mode accepted (err = %v)", err)
 	}
 	if _, err := pdr.NewFleet(pdr.FleetOptions{
 		Autoscale: &pdr.AutoscalePolicy{Window: sim.Millisecond, Min: 1, Max: 9},

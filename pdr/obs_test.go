@@ -27,7 +27,7 @@ func TestSystemServeWithTracer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sys.Serve(stream, pdr.ServeOptions{Prewarm: fleetASPs[:2], Tracer: tracer})
+		st, err := sys.Serve(stream, pdr.ServeOptions{Service: pdr.ServiceConfig{Prewarm: fleetASPs[:2]}, Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestFleetServeWithTracer(t *testing.T) {
 			Boards:  []string{"zedboard", "zedboard"},
 			Seed:    42,
 			Router:  "least-outstanding",
-			Prewarm: fleetASPs,
+			Service: pdr.ServiceConfig{Prewarm: fleetASPs},
 			Tracer:  tracer,
 		})
 		if err != nil {

@@ -350,19 +350,18 @@ func ImportTrace(data []byte) (Trace, error) { return workload.ImportTrace(data)
 // Policies lists the dispatch policies Serve accepts.
 func Policies() []string { return sched.PolicyNames() }
 
+// ServiceConfig is a board's reconfiguration-service settings: dispatch
+// policy, DRAM bitstream cache budget (0 = the platform profile's derived
+// budget, < 0 = no cache, or CacheBudgetImages × the board's image size),
+// per-RP queue cap (0 = 32, < 0 = unbounded), prewarm set, CRC repair mode
+// and sketch quantiles. Each board resolves it against its own profile.
+type ServiceConfig = hll.ServiceConfig
+
 // ServeOptions configures System.Serve.
 type ServeOptions struct {
-	// Policy is the dispatch policy name ("fcfs" when empty; see Policies).
-	Policy string
-	// CacheBudgetBytes bounds the DRAM bitstream cache: 0 uses the platform
-	// profile's derived budget, < 0 disables the cache entirely (the
-	// no-cache ablation), > 0 is an explicit budget.
-	CacheBudgetBytes int64
-	// QueueCap is the per-RP admission-control depth (0 = 32).
-	QueueCap int
-	// Prewarm stages the listed ASPs' images for every RP before serving
-	// (steady-state residency). Ignored when the cache is disabled.
-	Prewarm []string
+	// Service is the service configuration (the zero value is FCFS over
+	// the profile's cache budget with 32-deep queues).
+	Service ServiceConfig
 	// Tracer, when non-nil, records the run's request spans (queue wait,
 	// cache staging, ICAP transfer, compute) and service events under the
 	// key "serve/NN" (NN = this system's Serve ordinal). Tracing never
@@ -376,36 +375,14 @@ type ServeOptions struct {
 // from the board's SD card at the profile rate. Each call serves on a
 // fresh service (empty queues, cold or prewarmed cache).
 func (s *System) Serve(tr Trace, o ServeOptions) (ServiceStats, error) {
-	policyName := o.Policy
-	if policyName == "" {
-		policyName = "fcfs"
-	}
-	policy, err := sched.PolicyByName(policyName)
+	svc, err := hll.NewService(s.Controller, o.Service)
 	if err != nil {
 		return ServiceStats{}, fmt.Errorf("pdr: %w", err)
 	}
-	prof := s.Platform().Profile
-	budget := o.CacheBudgetBytes
-	switch {
-	case budget == 0:
-		budget = prof.BitstreamCacheBytes()
-	case budget < 0:
-		budget = 0 // hll semantics: 0 disables
-	}
-	queueCap := o.QueueCap
-	if queueCap == 0 {
-		queueCap = 32
-	}
-	svc := hll.NewService(s.Controller, hll.ServiceConfig{
-		Policy:           policy,
-		CacheBudgetBytes: budget,
-		QueueCap:         queueCap,
-		StageBytesPerSec: prof.IO.SDBytesPerSec,
-		PrewarmASPs:      o.Prewarm,
-	})
 	if o.Tracer != nil {
+		prof := s.Platform().Profile
 		ft := o.Tracer.Fleet(fmt.Sprintf("serve/%02d", s.serves),
-			fmt.Sprintf("%s, %s", prof.Name, policyName))
+			fmt.Sprintf("%s, %s", prof.Name, svc.Policy().Name()))
 		s.serves++
 		svc.SetTracer(ft.Board(0))
 		ft.Bind(0, prof.Name, svc.RPNames())

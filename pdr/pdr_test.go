@@ -303,7 +303,7 @@ func TestServeOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := sys.Serve(tr, pdr.ServeOptions{Policy: "affinity", Prewarm: asps})
+	stats, err := sys.Serve(tr, pdr.ServeOptions{Service: pdr.ServiceConfig{Policy: "affinity", Prewarm: asps}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +316,11 @@ func TestServeOpenLoop(t *testing.T) {
 	if len(stats.Tenants) != 2 {
 		t.Errorf("tenants = %v", stats.TenantNames())
 	}
-	if _, err := sys.Serve(tr, pdr.ServeOptions{Policy: "lifo"}); err == nil {
+	if _, err := sys.Serve(tr, pdr.ServeOptions{Service: pdr.ServiceConfig{Policy: "lifo"}}); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	if _, err := sys.Serve(tr, pdr.ServeOptions{Service: pdr.ServiceConfig{Repair: "relaod"}}); err == nil {
+		t.Error("unknown repair mode accepted")
 	}
 }
 
@@ -335,7 +338,7 @@ func TestServeNoCacheAblationIsSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := sys.Serve(tr, pdr.ServeOptions{CacheBudgetBytes: budget, Prewarm: asps})
+		stats, err := sys.Serve(tr, pdr.ServeOptions{Service: pdr.ServiceConfig{CacheBudgetBytes: budget, Prewarm: asps}})
 		if err != nil {
 			t.Fatal(err)
 		}
