@@ -24,8 +24,8 @@
 //	                              # are identical at any -parallel budget)
 //	pdrbench -run E13 -metrics-out m.json     # sim-time metric series
 //	                              # (queue depths, watts, shed; .csv for CSV)
-//	pdrbench -pprof localhost:6060            # wall-clock pprof endpoints
-//	                              # for the run's duration
+//	pdrbench -run E11 -cpuprofile cpu.out     # wall-clock CPU profile,
+//	                              # labelled by scenario and shard
 //	pdrbench -json                # machine-readable reports
 //	pdrbench -md > EXPERIMENTS.md # regenerate the committed artefact file
 //	pdrbench -csv out/            # also write figure series as CSV files
@@ -39,12 +39,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -65,7 +63,7 @@ type options struct {
 	traceOut    string
 	traceEvents string
 	metricsOut  string
-	pprofAddr   string
+	cpuProfile  string
 }
 
 func main() {
@@ -85,7 +83,7 @@ func main() {
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write the E16 arrival stream (the E16.trace replay, if set) to a versioned trace file")
 	flag.StringVar(&opts.traceEvents, "trace-events", "", "write the run's spans and events as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the run's sim-time metric series (.csv = CSV, otherwise canonical JSON)")
-	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve wall-clock profiling at this address (e.g. localhost:6060) for the run's duration")
+	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file, labelled by scenario and shard (see go tool pprof -tagfocus)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -96,7 +94,7 @@ func main() {
 	}
 }
 
-func realMain(ctx context.Context, w io.Writer, opts options) error {
+func realMain(ctx context.Context, w io.Writer, opts options) (err error) {
 	if opts.list {
 		if opts.jsonOut {
 			return listScenariosJSON(w)
@@ -135,18 +133,24 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 		tracer = pdr.NewTracer()
 		copts = append(copts, pdr.WithTracer(tracer))
 	}
-	if opts.pprofAddr != "" {
-		// Listen synchronously so a bad address fails the run, then serve
-		// for the run's duration. The pprof endpoints profile wall-clock
-		// behaviour (scheduling, allocation) — the simulated clock has its
-		// own deterministic exports above.
-		ln, err := net.Listen("tcp", opts.pprofAddr)
+	if opts.cpuProfile != "" {
+		// A wall-clock profile of the host's work; the executor labels
+		// every shard with its scenario and shard index. The simulated
+		// clock has its own deterministic exports above.
+		f, err := os.Create(opts.cpuProfile)
 		if err != nil {
-			return fmt.Errorf("-pprof: %w", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
-		defer ln.Close()
-		go func() { _ = http.Serve(ln, nil) }()
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", ln.Addr())
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("-cpuprofile: %w", cerr)
+			}
+		}()
 	}
 	if opts.run != "" && opts.run != "all" {
 		var ids []string

@@ -204,7 +204,7 @@ func TestPlatformFlag(t *testing.T) {
 		t.Errorf("output missing E8 header:\n%s", out)
 	}
 	err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E8", seed: 42, parallel: 1, platform: "nope"})
-	if err == nil || !strings.Contains(err.Error(), "unknown board variant") {
+	if err == nil || !strings.Contains(err.Error(), `unknown platform "nope"`) {
 		t.Errorf("unknown platform accepted (err = %v)", err)
 	}
 }
@@ -259,11 +259,22 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 	}
 }
 
-func TestPprofFlagBadAddress(t *testing.T) {
-	err := realMain(context.Background(), &bytes.Buffer{},
-		options{run: "E8", seed: 42, parallel: 1, pprofAddr: "not-an-address:xyz"})
-	if err == nil || !strings.Contains(err.Error(), "-pprof") {
-		t.Errorf("bad pprof address accepted (err = %v)", err)
+// TestCPUProfileFlag: -cpuprofile leaves a gzip-compressed pprof file,
+// and an unwritable path fails the run naming the flag.
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	run(t, options{run: "E8", seed: 42, parallel: 1, cpuProfile: path})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Errorf("profile is not a non-empty gzip file (%d bytes)", len(data))
+	}
+	err = realMain(context.Background(), &bytes.Buffer{},
+		options{run: "E8", seed: 42, parallel: 1, cpuProfile: filepath.Join(t.TempDir(), "absent", "cpu.out")})
+	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("unwritable profile path accepted (err = %v)", err)
 	}
 }
 

@@ -3,15 +3,12 @@
 // the slide switches, push a button to load one of the two bitstreams, and
 // read the OLED.
 //
-// Each switch setting runs on its own freshly booted board (as the paper's
-// operators re-ran the flow per frequency), so settings are independent
-// work units: -parallel shards them across workers and the transcript is
-// merged by setting index, byte-identical to a sequential walk.
+// Each switch setting runs on its own freshly booted board, as the paper's
+// operators re-ran the flow per frequency.
 //
 // Usage:
 //
 //	pdrsim                 # walk all switch settings (the paper's sweep)
-//	pdrsim -parallel 4     # same walk, sharded over 4 workers
 //	pdrsim -switches 3     # one setting (3 → 200 MHz per the switch table)
 //	pdrsim -heat 100       # heat-gun the die first (Sec. IV-A)
 //	pdrsim -platform zc706 # replay the flow on another registered platform
@@ -21,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/board"
@@ -29,7 +25,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/workpool"
 	"repro/internal/zynq"
 )
 
@@ -37,17 +32,16 @@ func main() {
 	switches := flag.Int("switches", -1, "slide-switch value (-1 = sweep all)")
 	heat := flag.Float64("heat", 0, "heat-gun die target in °C (0 = off)")
 	seed := flag.Uint64("seed", 7, "simulation seed")
-	parallel := flag.Int("parallel", 1, "workers for the switch sweep (0 = one per CPU)")
 	plat := flag.String("platform", "", "platform profile to simulate (default zedboard; see pdrbench -list)")
 	flag.Parse()
 
-	if err := realMain(*switches, *heat, *seed, *parallel, *plat); err != nil {
+	if err := realMain(*switches, *heat, *seed, *plat); err != nil {
 		fmt.Fprintln(os.Stderr, "pdrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(switches int, heat float64, seed uint64, parallel int, plat string) error {
+func realMain(switches int, heat float64, seed uint64, plat string) error {
 	prof, ok := platform.Lookup(plat)
 	if !ok {
 		return fmt.Errorf("unknown platform %q (want %s)", plat, platform.NameList())
@@ -59,20 +53,12 @@ func realMain(switches int, heat float64, seed uint64, parallel int, plat string
 			settings = append(settings, i)
 		}
 	}
-
-	transcripts := make([]string, len(settings))
-	errs := make([]error, len(settings))
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	workpool.Run(len(settings), parallel, func(i int) {
-		transcripts[i], errs[i] = runSetting(prof, settings[i], heat, seed)
-	})
-	for i, err := range errs {
+	for _, sw := range settings {
+		out, err := runSetting(prof, sw, heat, seed)
 		if err != nil {
-			return fmt.Errorf("switches=%d: %w", settings[i], err)
+			return fmt.Errorf("switches=%d: %w", sw, err)
 		}
-		fmt.Print(transcripts[i])
+		fmt.Print(out)
 	}
 	return nil
 }
@@ -152,24 +138,7 @@ func runSetting(prof *platform.Profile, sw int, heat float64, seed uint64) (stri
 	return out.String(), nil
 }
 
+// indent frames every line of the OLED text, a trailing empty one too.
 func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "  | " + line + "\n"
-	}
-	return out[:len(out)-1]
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			lines = append(lines, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	return append(lines, cur)
+	return "  | " + strings.Join(strings.Split(s, "\n"), "\n  | ")
 }

@@ -8,32 +8,31 @@ import (
 )
 
 func TestSingleSwitchSetting(t *testing.T) {
-	if err := realMain(3, 0, 7, 1, ""); err != nil { // 3 → 200 MHz
+	if err := realMain(3, 0, 7, ""); err != nil { // 3 → 200 MHz
 		t.Fatal(err)
 	}
 }
 
 func TestHangSetting(t *testing.T) {
-	if err := realMain(6, 0, 7, 1, ""); err != nil { // 6 → 310 MHz: no interrupt
+	if err := realMain(6, 0, 7, ""); err != nil { // 6 → 310 MHz: no interrupt
 		t.Fatal(err)
 	}
 }
 
 func TestWithHeatGun(t *testing.T) {
-	if err := realMain(0, 80, 7, 1, ""); err != nil {
+	if err := realMain(0, 80, 7, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestParallelSweep(t *testing.T) {
-	if err := realMain(-1, 0, 7, 4, ""); err != nil {
+func TestSweepAllSettings(t *testing.T) {
+	if err := realMain(-1, 0, 7, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSettingDeterministic pins the per-setting transcript: a setting runs
-// on its own freshly booted board, so repeated runs (and therefore any
-// parallel schedule of the sweep) produce identical text.
+// on its own freshly booted board, so repeated runs produce identical text.
 func TestSettingDeterministic(t *testing.T) {
 	a, err := runSetting(platform.Default(), 3, 0, 7)
 	if err != nil {
@@ -52,7 +51,7 @@ func TestSettingDeterministic(t *testing.T) {
 }
 
 func TestUnknownPlatformRejected(t *testing.T) {
-	err := realMain(3, 0, 7, 1, "zedboard-quantum")
+	err := realMain(3, 0, 7, "zedboard-quantum")
 	if err == nil || !strings.Contains(err.Error(), "unknown platform") {
 		t.Errorf("err = %v", err)
 	}
@@ -73,16 +72,17 @@ func TestOtherPlatformSetting(t *testing.T) {
 	}
 }
 
+// TestIndentHelper pins the OLED framing byte for byte.
 func TestIndentHelper(t *testing.T) {
-	got := indent("a\nb")
-	if !strings.Contains(got, "| a") || !strings.Contains(got, "| b") {
-		t.Errorf("indent = %q", got)
+	if got, want := indent("a\nb"), "  | a\n  | b"; got != want {
+		t.Errorf("indent = %q, want %q", got, want)
 	}
 }
 
+// TestSplitLines checks that indent keeps the empty line a trailing
+// newline leaves, as a line of its own.
 func TestSplitLines(t *testing.T) {
-	lines := splitLines("x\ny\n")
-	if len(lines) != 3 || lines[0] != "x" || lines[1] != "y" || lines[2] != "" {
-		t.Errorf("splitLines = %v", lines)
+	if got, want := indent("x\ny\n"), "  | x\n  | y\n  | "; got != want {
+		t.Errorf("indent = %q, want %q", got, want)
 	}
 }

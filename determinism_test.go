@@ -2,7 +2,9 @@ package repro_test
 
 import (
 	"context"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -69,7 +71,10 @@ func TestDeterministicReports(t *testing.T) {
 // on 4 workers must produce byte-identical reports — rendered text, JSON
 // and the generated EXPERIMENTS.md document — to a sequential run. Every
 // shard owns a fresh kernel and merges by index, so any divergence here
-// means a shard leaked state across workers or the merge order raced.
+// means a shard leaked state across workers or the merge order raced. The
+// document must also equal the committed EXPERIMENTS.md: a change that
+// moves any reported number fails here until the file is regenerated with
+// `go run ./cmd/pdrbench -md > EXPERIMENTS.md`.
 func TestCampaignSuiteParallelDeterminism(t *testing.T) {
 	run := func(workers int) *pdr.CampaignResult {
 		res, err := pdr.NewCampaign(
@@ -101,6 +106,32 @@ func TestCampaignSuiteParallelDeterminism(t *testing.T) {
 	}
 	if seq.Markdown() != par.Markdown() {
 		t.Error("parallel EXPERIMENTS.md differs from sequential")
+	}
+	committed, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seq.Markdown(); got != string(committed) {
+		n, g, w := firstDiff(got, string(committed))
+		t.Errorf("the campaign no longer reproduces the committed EXPERIMENTS.md: line %d is\n%s\nbut the file has\n%s", n, g, w)
+	}
+}
+
+// firstDiff returns the 1-based number of the first line where a and b
+// differ, and that line of each ("" past the end).
+func firstDiff(a, b string) (n int, la, lb string) {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; ; i++ {
+		la, lb = "", ""
+		if i < len(al) {
+			la = al[i]
+		}
+		if i < len(bl) {
+			lb = bl[i]
+		}
+		if la != lb || i >= len(al) || i >= len(bl) {
+			return i + 1, la, lb
+		}
 	}
 }
 

@@ -183,18 +183,10 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func chaosMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E15", Title: chaosTitle, Header: chaosHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	aff, okA := metrics["e15_affinity"]
-	jsq, okJ := metrics["e15_least-outstanding"]
-	if okA && okJ && len(aff) == 3 && len(jsq) == 3 && aff[2].Y > 0 {
+	rep := concat("E15", chaosTitle, chaosHeader, parts)
+	aff := rep.points("e15_affinity")
+	jsq := rep.points("e15_least-outstanding")
+	if len(aff) == 3 && len(jsq) == 3 && aff[2].Y > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"under the storm, affinity routing degrades worst — its cache locality dies with the crashed board: goodput %.0f vs least-outstanding's %.0f req/s, p99 %.1f vs %.1f ms — queue depth already encodes board health, consistent hashing does not",
 			aff[1].Y, jsq[1].Y, aff[2].Y/1000, jsq[2].Y/1000))

@@ -297,18 +297,10 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func diurnalMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E16", Title: diurnalTitle, Header: diurnalHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	re, okR := metrics["e16_"+string(cluster.ScalerReactive)]
-	pr, okP := metrics["e16_"+string(cluster.ScalerPredictive)]
-	if okR && okP && len(re) == 4 && len(pr) == 4 {
+	rep := concat("E16", diurnalTitle, diurnalHeader, parts)
+	re := rep.points("e16_" + string(cluster.ScalerReactive))
+	pr := rep.points("e16_" + string(cluster.ScalerPredictive))
+	if len(re) == 4 && len(pr) == 4 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"through the flash crowd the predictive scaler sheds %.1f%% vs reactive's %.1f%% — the spike outruns any forecast, but the forecast recovers in one window of observation while the reactive policy pays one shedding window per board it is short (goodput %.0f vs %.0f req/s)",
 			100*pr[0].Y, 100*re[0].Y, pr[1].Y, re[1].Y))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -26,7 +25,7 @@ func TestDiurnalScenario(t *testing.T) {
 	if got := s.Shards(cfg); got != 2 {
 		t.Fatalf("shards = %d, want 2 (one per scaler policy)", got)
 	}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +78,11 @@ func TestDiurnalScenario(t *testing.T) {
 func TestDiurnalScenarioDeterministic(t *testing.T) {
 	s, _ := Lookup("E16")
 	cfg := Config{Seed: 7}
-	a, err := RunSequential(context.Background(), s, cfg)
+	a, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSequential(context.Background(), s, cfg)
+	b, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestDiurnalTraceReplay(t *testing.T) {
 	}
 
 	s, _ := Lookup("E16")
-	gen, err := RunSequential(context.Background(), s, cfg)
+	gen, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestDiurnalTraceReplay(t *testing.T) {
 	if err := replayCfg.Set("E16.trace", path); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := RunSequential(context.Background(), s, replayCfg)
+	replay, err := runOne(s, replayCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestDiurnalTraceReplay(t *testing.T) {
 		t.Errorf("absent trace file accepted by Set (err = %v)", err)
 	}
 	badCfg.TraceFile = absent
-	if _, err := RunSequential(context.Background(), s, badCfg); err == nil {
+	if _, err := runOne(s, badCfg, 1); err == nil {
 		t.Error("absent trace file accepted")
 	}
 }
@@ -178,7 +177,7 @@ func TestDiurnalScalerRestriction(t *testing.T) {
 	if got := s.Shards(cfg); got != 1 {
 		t.Fatalf("shards = %d, want 1 with Scaler set", got)
 	}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestDiurnalScalerRestriction(t *testing.T) {
 		t.Errorf("Set accepted an unknown scaler policy or hid the key (err = %v)", err)
 	}
 	bad.Scaler = "psychic"
-	if _, err := RunSequential(context.Background(), s, bad); err == nil {
+	if _, err := runOne(s, bad, 1); err == nil {
 		t.Error("unknown scaler policy accepted")
 	} else if !strings.Contains(err.Error(), "psychic") {
 		t.Errorf("error should name the policy: %v", err)

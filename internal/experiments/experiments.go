@@ -7,10 +7,10 @@
 // always agree.
 //
 // Scenarios are registered at init in a package registry (see registry.go)
-// and discovered by ID ("E1"…"E9", "A1"…"A5") or legacy alias ("tableI"…).
+// and discovered by ID ("E1"…"E17", "A1"…"A5") or legacy alias ("tableI"…).
 // Every scenario declares a fixed shard plan — independent work units that
-// each run on a fresh Env — so a campaign can execute shards on any number
-// of workers and merge by index to byte-identical output.
+// each run on a fresh Env — and Execute runs the shards on any number of
+// workers and merges by index to byte-identical output.
 package experiments
 
 import (
@@ -228,7 +228,8 @@ type Config struct {
 	// Workers is the goroutine budget of one campaign unit (≤ 1 =
 	// sequential): fleet scenarios fan their epoch advance out over it,
 	// and the planner scenario (E17) splits it between its verifying
-	// simulations and their fleets. Purely a wall-clock knob: output is
+	// simulations and their fleets. Execute sets it from its own budget,
+	// overwriting any caller value. Purely a wall-clock knob: output is
 	// byte-identical at every setting, so it is not part of the
 	// scientific configuration.
 	Workers int
@@ -303,15 +304,6 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	return &Env{Platform: p, Controller: c, Bitstream: bs, Cfg: cfg}, nil
 }
 
-// freshFrames returns a second bitstream (the paper's SD card carried two).
-func (e *Env) secondBitstream() (*bitstream.Bitstream, error) {
-	asp, err := workload.LibraryASP("sha3")
-	if err != nil {
-		return nil, err
-	}
-	return asp.Bitstream(e.Platform.Device, e.Platform.RPs[0])
-}
-
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func mhz(v float64) string { return fmt.Sprintf("%.0f", v) }
@@ -324,8 +316,8 @@ func validity(ok bool) string {
 	return "not valid"
 }
 
-// frameStd is a shared helper for building a standard-size bitstream for an
-// arbitrary region (used by SecVI and ablations).
+// buildFor builds a standard-size bitstream for an arbitrary region (used
+// by SecVI and the A2 knee ablation).
 func buildFor(p *zynq.Platform, rp fabric.Region, name string, seed uint64) (*bitstream.Bitstream, error) {
 	asp := workload.ASP{Name: name, FillFraction: 0.55, Seed: seed}
 	return bitstream.Build(p.Device, rp, name, asp.Frames(p.Device, rp))

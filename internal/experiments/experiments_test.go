@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -27,7 +26,7 @@ func runScenario(t *testing.T, id string) *Report {
 	if !ok {
 		t.Fatalf("scenario %s not registered", id)
 	}
-	rep, err := RunSequential(context.Background(), s, Config{Seed: 42})
+	rep, err := runOne(s, Config{Seed: 42}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

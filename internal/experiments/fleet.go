@@ -258,32 +258,13 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func scaleMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E13", Title: scaleTitle, Header: scaleHeader}
-	merged := make(map[string]*sim.Series)
-	var order []string
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Notes = append(rep.Notes, p.Notes...)
-		for _, s := range p.Series {
-			if dst, ok := merged[s.Name]; ok {
-				dst.Points = append(dst.Points, s.Points...)
-			} else {
-				cp := s
-				cp.Points = append([]sim.Point(nil), s.Points...)
-				merged[s.Name] = &cp
-				order = append(order, s.Name)
-			}
-		}
-	}
-	for _, name := range order {
-		rep.Series = append(rep.Series, *merged[name])
-	}
+	rep := concat("E13", scaleTitle, scaleHeader, parts)
 	for _, comp := range fleetCompositions() {
-		good, ok := merged["e13_"+comp.name+"_goodput"]
-		if !ok || len(good.Points) < 2 {
+		good := rep.points("e13_" + comp.name + "_goodput")
+		if len(good) < 2 {
 			continue
 		}
-		first, last := good.Points[0], good.Points[len(good.Points)-1]
+		first, last := good[0], good[len(good)-1]
 		if first.Y > 0 {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"%s: goodput scales %.1f× from %d to %d boards at %d req/s offered (%.0f → %.0f req/s useful)",
@@ -383,18 +364,10 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func routeMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E14", Title: routeTitle, Header: routeHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	aff, okA := metrics["e14_affinity"]
-	rr, okR := metrics["e14_round-robin"]
-	if okA && okR && len(aff) == 2 && len(rr) == 2 && aff[1].Y > 0 {
+	rep := concat("E14", routeTitle, routeHeader, parts)
+	aff := rep.points("e14_affinity")
+	rr := rep.points("e14_round-robin")
+	if len(aff) == 2 && len(rr) == 2 && aff[1].Y > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"bitstream-affinity keeps each image on one board's cache: hit ratio %.0f%% vs round-robin's %.0f%%, p99 %.1f ms vs %.1f ms (%.1f× lower) under Zipf(%.1f) image popularity",
 			100*aff[0].Y, 100*rr[0].Y, aff[1].Y/1000, rr[1].Y/1000, rr[1].Y/aff[1].Y, routeSkew))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +19,7 @@ func TestScaleoutScenarioSmallGrid(t *testing.T) {
 	if got := s.Shards(cfg); got != 6 {
 		t.Fatalf("shards = %d, want 6 (2 compositions × (2 sizes + auto))", got)
 	}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestRouteScenarioAffinityWins(t *testing.T) {
 		t.Fatal("E14 not registered")
 	}
 	cfg := Config{Seed: 42}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestFleetScenarioDeterminism(t *testing.T) {
 			t.Fatalf("%s not registered", tc.id)
 		}
 		run := func() string {
-			rep, err := RunSequential(context.Background(), s, tc.cfg)
+			rep, err := runOne(s, tc.cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,7 +23,7 @@ func TestReportJSONUnchangedByTracing(t *testing.T) {
 		t.Fatal("E15 not registered")
 	}
 	run := func(tr *obs.Tracer) []byte {
-		rep, err := RunSequential(context.Background(), s, Config{Seed: 42, Obs: tr})
+		rep, err := runOne(s, Config{Seed: 42, Obs: tr}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,8 +57,10 @@ func TestScenarioSimEventsDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("E14 not registered")
 	}
-	run := func(workers int) uint64 {
-		rep, err := RunSequential(context.Background(), s, Config{Seed: 42, Workers: workers})
+	// A budget of 4 per shard gives every shard's fleet 4 epoch workers.
+	cfg := Config{Seed: 42}
+	run := func(budget int) uint64 {
+		rep, err := runOne(s, cfg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestScenarioSimEventsDeterministic(t *testing.T) {
 	if seq == 0 {
 		t.Fatal("E14 reported zero simulation events")
 	}
-	if par := run(4); par != seq {
+	if par := run(4 * s.Shards(cfg)); par != seq {
 		t.Errorf("sim events vary with fleet workers: %d (w=1) vs %d (w=4)", seq, par)
 	}
 }

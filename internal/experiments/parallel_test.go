@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 )
 
 // TestFleetScenariosWorkerCountEquality pins the parallel fleet engine at
 // the scenario level: every fleet scenario (E13 scale-out, E14 routing,
 // E15 chaos, E16 diurnal) must emit byte-identical reports whether the
-// per-epoch board advance runs sequentially or fans out over 4 goroutines.
-// The Workers budget is a wall-clock knob, never a scientific one.
+// per-epoch board advance runs sequentially or fans out over 4 goroutines
+// per shard. The budget is a wall-clock knob, never a scientific one.
 func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 	for _, tc := range []struct {
 		id  string
@@ -26,10 +25,8 @@ func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not registered", tc.id)
 			}
-			run := func(workers int) string {
-				cfg := tc.cfg
-				cfg.Workers = workers
-				rep, err := RunSequential(context.Background(), s, cfg)
+			run := func(budget int) string {
+				rep, err := runOne(s, tc.cfg, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,7 +36,9 @@ func TestFleetScenariosWorkerCountEquality(t *testing.T) {
 				}
 				return string(out)
 			}
-			if seq, par := run(1), run(4); seq != par {
+			// A budget of 4 per shard runs every shard at once and gives
+			// each shard's fleet 4 epoch workers.
+			if seq, par := run(1), run(4*s.Shards(tc.cfg)); seq != par {
 				t.Errorf("%s report changes with Workers=4", tc.id)
 			}
 		})

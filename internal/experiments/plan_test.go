@@ -48,7 +48,8 @@ func TestPlanAcceptance(t *testing.T) {
 
 // TestPlanScenarioWorkerCountEquality pins E17 at the scenario level:
 // the full report must be byte-identical whether tier B's verifying
-// simulations run sequentially or fan out over 4 workers.
+// simulations run sequentially or fan out over 4 workers (E17 is one
+// shard, so a budget of 4 is all its own).
 func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full E17 scenario twice")
@@ -57,9 +58,8 @@ func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 	if !ok {
 		t.Fatal("E17 not registered")
 	}
-	run := func(workers int) string {
-		cfg := Config{Seed: 42, Workers: workers}
-		rep, err := RunSequential(context.Background(), s, cfg)
+	run := func(budget int) string {
+		rep, err := runOne(s, Config{Seed: 42}, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestSurrogateCalibration(t *testing.T) {
 	if !ok {
 		t.Fatal("E11 not registered")
 	}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,19 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/workpool"
 )
 
 // Scenario is one registered, discoverable experiment. A scenario is a pure
@@ -13,7 +22,7 @@ import (
 // number of workers, and Merge — applied to the shard reports in index
 // order — reconstructs byte-identical output regardless of the schedule.
 type Scenario struct {
-	// ID is the stable experiment id ("E1"…"E9", "A1"…"A5").
+	// ID is the stable experiment id ("E1"…"E17", "A1"…"A5").
 	ID string
 	// Title names the paper artefact.
 	Title string
@@ -74,8 +83,8 @@ func Lookup(key string) (Scenario, bool) {
 	return registry[idx], true
 }
 
-// All returns every registered scenario in registration order (E1…E9 then
-// A1…A5 — the order EXPERIMENTS.md presents them).
+// All returns every registered scenario in registration order (E1…E17
+// then A1…A5 — the order EXPERIMENTS.md presents them).
 func All() []Scenario {
 	out := make([]Scenario, len(registry))
 	copy(out, registry)
@@ -94,38 +103,126 @@ func IDs() []string {
 // KeyList renders "E1|E2|…" for usage strings.
 func KeyList() string { return strings.Join(IDs(), "|") }
 
-// RunSequential executes every shard of the scenario in index order, each
-// on a fresh Env built from cfg, and merges. This is the sequential
-// reference path a parallel campaign must reproduce byte for byte; the
-// tests use it, and every other consumer of a scenario — the campaign,
-// pdrbench, EXPERIMENTS.md — runs the same shards and merge, so all of
-// them report the same numbers.
-func RunSequential(ctx context.Context, s Scenario, cfg Config) (*Report, error) {
-	n := s.Shards(cfg)
-	parts := make([]*Report, n)
+// Execution is the outcome of Execute: one merged report per scenario, in
+// the order the scenarios were given, plus the facts of the schedule that
+// produced them. Workers (shard workers) and Units ((scenario, shard)
+// pairs) are the schedule's shape, Pool each worker's wall-clock
+// utilization and Elapsed the whole run's wall clock; none of them affects
+// Reports.
+type Execution struct {
+	Reports []*Report
+	Workers int
+	Units   int
+	Pool    []workpool.WorkerCount
+	Elapsed time.Duration
+}
+
+// Execute is the one executor of the scenarios' shard plans: the campaign,
+// pdrbench, EXPERIMENTS.md and the tests all run scenarios through it, so
+// all of them report the same numbers. It lays out one unit per (scenario,
+// shard), splits the goroutine budget (≤ 0 = one per CPU) with
+// workpool.Split — min(budget, units) shard workers, the rest handed to
+// every unit as cfg.Workers for its fleet epochs or planner simulations —
+// and runs each unit on a fresh Env built from EnvConfig, under pprof
+// labels naming its scenario and shard. Each scenario's parts then merge
+// in index order, so the reports are byte-identical at every budget.
+//
+// An unknown cfg.Platform fails before any shard runs. Shard errors are
+// selected deterministically: the lowest-index real failure wins, and bare
+// cancellations (a worker aborted because another unit failed, or the
+// caller cancelled) surface only when nothing else went wrong.
+func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Execution, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := ProfileFor(cfg); err != nil {
+		return nil, err
+	}
+	// The fixed shard plan, independent of the budget.
+	type unit struct{ scen, shard int }
+	var units []unit
+	parts := make([][]*Report, len(scens))
+	for si, s := range scens {
+		parts[si] = make([]*Report, s.Shards(cfg))
+		for k := range parts[si] {
+			units = append(units, unit{si, k})
+		}
+	}
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	ex := &Execution{Units: len(units)}
+	ex.Workers, cfg.Workers = workpool.Split(budget, len(units))
+
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	t0 := time.Now()
-	for k := 0; k < n; k++ {
-		env, err := NewEnvWith(s.EnvConfig(cfg, k))
-		if err != nil {
-			return nil, err
+	pool := &workpool.Counters{}
+	errs := make([]error, len(units))
+	workpool.RunCounted(len(units), ex.Workers, pool, func(i int) {
+		u, s := units[i], scens[units[i].scen]
+		labels := pprof.Labels("scenario", s.ID, "shard", strconv.Itoa(u.shard))
+		pprof.Do(runCtx, labels, func(ctx context.Context) {
+			parts[u.scen][u.shard], errs[i] = runShard(ctx, s, cfg, u.shard)
+		})
+		if errs[i] != nil {
+			cancel()
 		}
-		if parts[k], err = s.Run(ctx, env, k); err != nil {
-			return nil, err
+	})
+
+	var cancelled error
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			cancelled = cmp.Or(cancelled, err)
+		default:
+			return nil, fmt.Errorf("experiments: %s shard %d: %w", scens[units[i].scen].ID, units[i].shard, err)
 		}
-		// Shards that run on their own simulators (fleet boards) set
-		// SimEvents themselves; the env kernel covers the rest.
-		parts[k].SimEvents += env.Platform.Kernel.Fired()
 	}
-	rep := parts[0]
-	if s.Merge != nil {
-		var err error
-		if rep, err = s.Merge(cfg, parts); err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			rep.SimEvents += p.SimEvents
-		}
+	if cancelled != nil {
+		return nil, cancelled
 	}
+
+	for si, s := range scens {
+		rep := parts[si][0]
+		if s.Merge != nil {
+			var err error
+			if rep, err = s.Merge(cfg, parts[si]); err != nil {
+				return nil, fmt.Errorf("experiments: %s merge: %w", s.ID, err)
+			}
+			// Merge builds a fresh report from the parts' tables; the
+			// profiling tallies fold in here (wall clock sums the shards'
+			// costs even when they overlapped on workers).
+			for _, p := range parts[si] {
+				rep.SimEvents += p.SimEvents
+				rep.WallMS += p.WallMS
+			}
+		}
+		ex.Reports = append(ex.Reports, rep)
+	}
+	ex.Pool = pool.Snapshot()
+	ex.Elapsed = time.Since(t0)
+	return ex, nil
+}
+
+// runShard runs one unit on a fresh Env and tallies its costs.
+func runShard(ctx context.Context, s Scenario, cfg Config, shard int) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	env, err := NewEnvWith(s.EnvConfig(cfg, shard))
+	if err != nil {
+		return nil, err
+	}
+	rep, err := s.Run(ctx, env, shard)
+	if err != nil {
+		return nil, err
+	}
+	// Shards that run on their own simulators (fleet boards) set
+	// SimEvents themselves; the env kernel covers the rest.
+	rep.SimEvents += env.Platform.Kernel.Fired()
 	rep.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	return rep, nil
 }
@@ -148,6 +245,44 @@ func single(fn func(*Env) (*Report, error)) func(context.Context, *Env, int) (*R
 		}
 		return fn(env)
 	}
+}
+
+// concat is the common half of a Merge: a report with the given header
+// whose rows and notes are the parts' in index order, and whose series are
+// the parts' with same-named series stitched into one in first-appearance
+// order. Shards that split one curve (a frequency or rate segment each)
+// append its points in shard order, so the stitched curve stays sorted.
+// Each Merge adds only its pivots and headline notes.
+func concat(id, title string, header []string, parts []*Report) *Report {
+	rep := &Report{ID: id, Title: title, Header: header}
+	at := make(map[string]int)
+	for _, p := range parts {
+		rep.Rows = append(rep.Rows, p.Rows...)
+		rep.Notes = append(rep.Notes, p.Notes...)
+		for _, s := range p.Series {
+			if i, ok := at[s.Name]; ok {
+				rep.Series[i].Points = append(rep.Series[i].Points, s.Points...)
+				continue
+			}
+			at[s.Name] = len(rep.Series)
+			// Clipped, so stitching reallocates instead of writing into
+			// the part's backing array.
+			s.Points = slices.Clip(s.Points)
+			rep.Series = append(rep.Series, s)
+		}
+	}
+	return rep
+}
+
+// points returns the points of the report's series with the given name
+// (nil when it has none).
+func (r *Report) points(name string) []sim.Point {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s.Points
+		}
+	}
+	return nil
 }
 
 // segBounds splits n items into k contiguous segments and returns the

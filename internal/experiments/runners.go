@@ -51,9 +51,8 @@ func TableI(env *Env) (*Report, error) {
 
 // E2 (Fig. 5), E3 (temperature stress) and E4 (Fig. 6) live in shards.go:
 // they are sharded scenarios whose only implementation is the registry
-// path, so every consumer — campaign, pdrbench, benchmarks, tests — runs
-// the same code and reports the same numbers (use RunSequential for a
-// one-call sequential execution).
+// path, so every consumer — campaign, pdrbench, tests — runs the same
+// code through Execute and reports the same numbers.
 
 // TableII (E5): power efficiency at 40 °C.
 func TableII(env *Env) (*Report, error) {

@@ -105,23 +105,15 @@ var satHeader = []string{
 }
 
 // envSource hands out one fresh board per measurement point. The shard's
-// provided Env is itself freshly booted by the scenario runner, so it
-// serves the first point (when its platform matches) instead of being
-// thrown away; every later point boots its own.
+// own Env is freshly booted by the executor from the shard's
+// configuration, so it serves the first point instead of being thrown
+// away; every later point boots its own from the same configuration.
 type envSource struct {
 	cfg   Config
 	first *Env
 }
 
-func newEnvSource(cfg Config, provided *Env) *envSource {
-	src := &envSource{cfg: cfg}
-	// Registry profiles are singletons, so pointer equality resolves ""
-	// (the default platform) correctly too.
-	if prof, err := ProfileFor(cfg); err == nil && provided != nil && provided.Platform.Profile == prof {
-		src.first = provided
-	}
-	return src
-}
+func newEnvSource(env *Env) *envSource { return &envSource{cfg: env.Cfg, first: env} }
 
 func (src *envSource) next() (*Env, error) {
 	if env := src.first; env != nil {
@@ -157,15 +149,13 @@ func hitRate(s hll.ServiceStats) string {
 }
 
 func satShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	boards := platform.Boards()
 	segs := satSegments(env.Cfg)
-	if shard < 0 || shard >= len(boards)*segs {
+	if shard < 0 || shard >= satShards(env.Cfg) {
 		return nil, fmt.Errorf("experiments: saturate shard %d out of range", shard)
 	}
-	prof := boards[shard/segs]
-	cfg := env.Cfg
-	cfg.Platform = prof.Name // ShardConfig already did this for campaign runs
-	src := newEnvSource(cfg, env)
+	// satShardConfig built the Env as the shard's board.
+	cfg, prof := env.Cfg, env.Platform.Profile
+	src := newEnvSource(env)
 	rates := satRateGrid(cfg)
 	lo := (shard % segs) * satSegRates
 	hi := min(lo+satSegRates, len(rates))
@@ -240,38 +230,19 @@ func SaturationKnee(points []sim.Point) (knee float64, diverged bool) {
 }
 
 func satMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E11", Title: satTitle, Header: satHeader}
-	// Stitch the per-shard series back into one curve per (platform, mode):
-	// shards are platform-major with ascending rate segments, so appending
-	// points in shard order keeps each curve sorted by rate.
-	merged := make(map[string]*sim.Series)
-	var order []string
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		for _, s := range p.Series {
-			if dst, ok := merged[s.Name]; ok {
-				dst.Points = append(dst.Points, s.Points...)
-			} else {
-				cp := s
-				cp.Points = append([]sim.Point(nil), s.Points...)
-				merged[s.Name] = &cp
-				order = append(order, s.Name)
-			}
-		}
-	}
-	for _, name := range order {
-		rep.Series = append(rep.Series, *merged[name])
-	}
+	// Shards are platform-major with ascending rate segments, so the
+	// stitched curve per (platform, mode) stays sorted by rate.
+	rep := concat("E11", satTitle, satHeader, parts)
 	// Knee decomposition per platform: where each mode's p99 diverges, and
 	// how far the DRAM bitstream cache moves the knee.
 	for _, prof := range platform.Boards() {
-		withCache, okC := merged["e11_"+prof.Name+"_cache"]
-		withoutCache, okN := merged["e11_"+prof.Name+"_nocache"]
-		if !okC || !okN {
+		withCache := rep.points("e11_" + prof.Name + "_cache")
+		withoutCache := rep.points("e11_" + prof.Name + "_nocache")
+		if len(withCache) == 0 || len(withoutCache) == 0 {
 			continue
 		}
-		kneeC, divC := SaturationKnee(withCache.Points)
-		kneeN, divN := SaturationKnee(withoutCache.Points)
+		kneeC, divC := SaturationKnee(withCache)
+		kneeN, divN := SaturationKnee(withoutCache)
 		geC, geN := "", ""
 		if !divC {
 			geC = "≥"
@@ -314,11 +285,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if shard < 0 || shard >= len(names) {
 		return nil, fmt.Errorf("experiments: sched shard %d out of range", shard)
 	}
-	policy := names[shard]
-	prof, err := ProfileFor(env.Cfg)
-	if err != nil {
-		return nil, err
-	}
+	policy, prof := names[shard], env.Platform.Profile
 	spec := workload.ArrivalSpec{
 		RatePerSec:  schedRatePerSec,
 		BurstFactor: schedBurstFactor,
@@ -333,7 +300,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 
 	rep := &Report{ID: "E12", Title: schedTitle}
 	series := sim.Series{Name: "e12_" + policy, XLabel: "budget_index", YLabel: "p99_sojourn_us"}
-	src := newEnvSource(env.Cfg, env)
+	src := newEnvSource(env)
 	// The cache-budget axis: a thrashing 4-image cache, a 12-image cache
 	// just under the 16-image working set, and the platform profile's
 	// derived budget (which holds it all).
@@ -374,11 +341,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func schedMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E12", Title: schedTitle, Header: schedHeader}
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-	}
+	rep := concat("E12", schedTitle, schedHeader, parts)
 	// Headline: policies matter most when the cache thrashes — compare p99
 	// at the smallest budget, and note the convergence at the profile one.
 	// Exact ties are reported jointly: on a fabric with uniform RP cuts
@@ -390,16 +353,14 @@ func schedMerge(cfg Config, parts []*Report) (*Report, error) {
 	}
 	var scores []score
 	worstP99 := 0.0
-	for _, p := range parts {
-		for _, s := range p.Series {
-			if len(s.Points) == 0 {
-				continue
-			}
-			p99 := s.Points[0].Y // first budget = thrashing 4-image cache
-			scores = append(scores, score{name: s.Name[len("e12_"):], p99: p99})
-			if p99 > worstP99 {
-				worstP99 = p99
-			}
+	for _, s := range rep.Series {
+		if len(s.Points) == 0 {
+			continue
+		}
+		p99 := s.Points[0].Y // first budget = thrashing 4-image cache
+		scores = append(scores, score{name: s.Name[len("e12_"):], p99: p99})
+		if p99 > worstP99 {
+			worstP99 = p99
 		}
 	}
 	if len(scores) > 0 {

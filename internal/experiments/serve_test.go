@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +36,7 @@ func TestSaturateScenarioSmallGrid(t *testing.T) {
 		t.Fatal("E11 not registered")
 	}
 	cfg := Config{Seed: 42, Rates: []float64{50, 400}}
-	rep, err := RunSequential(context.Background(), s, cfg)
+	rep, err := runOne(s, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestSchedScenarioComparesPolicies(t *testing.T) {
 	if !ok {
 		t.Fatal("E12 not registered")
 	}
-	rep, err := RunSequential(context.Background(), s, Config{Seed: 42})
+	rep, err := runOne(s, Config{Seed: 42}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

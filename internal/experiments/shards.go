@@ -99,16 +99,9 @@ func fig5Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 }
 
 func fig5Merge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E2", Title: fig5Title, Header: []string{"freq [MHz]", "throughput [MB/s]"}}
-	series := sim.Series{Name: "fig5", XLabel: "frequency_mhz", YLabel: "throughput_mbs"}
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		series.Points = append(series.Points, p.Series[0].Points...)
-	}
-	knee := kneeMHz(series.Points)
-	rep.Series = append(rep.Series, series)
+	rep := concat("E2", fig5Title, []string{"freq [MHz]", "throughput [MB/s]"}, parts)
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("curve linear until ≈%.0f MHz, then flattens (paper: ≈200 MHz)", knee),
+		fmt.Sprintf("curve linear until ≈%.0f MHz, then flattens (paper: ≈200 MHz)", kneeMHz(rep.Series[0].Points)),
 		fmt.Sprintf("swept as %d independent frequency segments, each on a fresh board", len(parts)))
 	return rep, nil
 }

@@ -42,24 +42,10 @@ func xplatGrid(cfg Config, prof *platform.Profile) []float64 {
 }
 
 func xplatShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	boards := platform.Boards()
-	if shard < 0 || shard >= len(boards) {
-		return nil, fmt.Errorf("experiments: xplat shard %d out of range", shard)
-	}
-	prof := boards[shard]
-	// ShardConfig makes the campaign build the Env as the shard's board
-	// directly; rebuild only for callers that bypassed it.
-	penv := env
-	if env.Platform.Profile != prof {
-		cfg := env.Cfg
-		cfg.Platform = prof.Name
-		var err error
-		if penv, err = NewEnvWith(cfg); err != nil {
-			return nil, err
-		}
-	}
-	cal := &core.Calibrator{C: penv.Controller, Bitstream: penv.Bitstream}
-	freqs := xplatGrid(penv.Cfg, prof)
+	// xplatShardConfig built the Env as the shard's board.
+	prof := env.Platform.Profile
+	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
+	freqs := xplatGrid(env.Cfg, prof)
 	points, err := cal.SweepContext(ctx, freqs)
 	if err != nil {
 		return nil, err
@@ -88,22 +74,14 @@ func xplatShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	top := freqs[len(freqs)-1]
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%s (%s, %d-frame RPs, %d B image): measured knee ≈%.0f MHz; memory model predicts knee %.1f MHz, plateau %.1f MB/s at %.0f MHz",
-		prof.Name, prof.Part, penv.Bitstream.Header.Frames, penv.Bitstream.Size(),
+		prof.Name, prof.Part, env.Bitstream.Header.Frames, env.Bitstream.Size(),
 		measuredKnee, prof.StreamKneeMHz(), prof.MemoryPlateauMBs(top), top))
 	return rep, nil
 }
 
 func xplatMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{
-		ID:     "E10",
-		Title:  xplatTitle,
-		Header: []string{"platform", "freq [MHz]", "latency [us]", "throughput [MB/s]", "CRC", "outcome"},
-	}
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		rep.Notes = append(rep.Notes, p.Notes...)
-	}
+	rep := concat("E10", xplatTitle,
+		[]string{"platform", "freq [MHz]", "latency [us]", "throughput [MB/s]", "CRC", "outcome"}, parts)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d platforms swept, one fresh board per platform; the 200 MHz ZedBoard knee is a property of its memory path, and moves with it",
 		len(parts)))

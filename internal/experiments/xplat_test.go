@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,7 +21,7 @@ func TestXplatSweepsAllBoards(t *testing.T) {
 	if len(boards) < 3 {
 		t.Fatalf("only %d registered boards; the scenario needs ≥3", len(boards))
 	}
-	rep, err := RunSequential(context.Background(), s, Config{Seed: 42})
+	rep, err := runOne(s, Config{Seed: 42}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestXplatSweepsAllBoards(t *testing.T) {
 // working for the cross-platform sweep.
 func TestXplatHonoursFrequencyOverride(t *testing.T) {
 	s, _ := Lookup("E10")
-	rep, err := RunSequential(context.Background(), s, Config{Seed: 42, Freqs: []float64{100, 200}})
+	rep, err := runOne(s, Config{Seed: 42, Freqs: []float64{100, 200}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

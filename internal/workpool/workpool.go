@@ -1,5 +1,5 @@
 // Package workpool provides the deterministic-merge scheduling idiom the
-// campaign runner and the CLI sweeps share: n independent units, claimed
+// campaign executor, the fleet epochs and the planner share: n independent units, claimed
 // by index from an atomic counter, with every result written to its own
 // caller-owned slot — so the merged output never depends on the schedule.
 package workpool

@@ -2,14 +2,11 @@ package pdr
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/platform"
 	"repro/internal/workpool"
 )
 
@@ -21,12 +18,13 @@ type (
 	Scenario = experiments.Scenario
 )
 
-// Scenarios lists every registered scenario in suite order (E1…E9, A1…A5).
+// Scenarios lists every registered scenario in suite order (E1…E17, A1…A5).
 func Scenarios() []Scenario { return experiments.All() }
 
 // BoardVariant selects the simulated board build a campaign runs on. Every
 // registered platform profile is a valid variant (see Platforms), so the
-// value is simply the profile name; these constants name the built-ins.
+// value is simply the profile name; these constants name the built-ins. An
+// unregistered name fails the campaign before any shard runs.
 type BoardVariant string
 
 const (
@@ -46,23 +44,6 @@ const (
 	// faster speed grade).
 	ZC706 BoardVariant = "zc706"
 )
-
-// ApplyBoardVariant resolves a variant into an experiments configuration —
-// the same resolution a campaign performs. Exposed for tests and tooling
-// that build experiment Envs directly.
-func ApplyBoardVariant(v BoardVariant, cfg *experiments.Config) error { return v.apply(cfg) }
-
-// apply resolves the variant against the platform registry, so the list of
-// valid names (and the error message) can never drift from the profiles
-// actually registered.
-func (v BoardVariant) apply(cfg *experiments.Config) error {
-	if _, ok := platform.Lookup(string(v)); !ok {
-		return fmt.Errorf("pdr: unknown board variant %q (registered platforms: %s)",
-			v, strings.Join(platform.Names(), ", "))
-	}
-	cfg.Platform = string(v)
-	return nil
-}
 
 // CampaignOption configures NewCampaign.
 type CampaignOption func(*Campaign)
@@ -92,7 +73,7 @@ func WithScenarios(ids ...string) CampaignOption {
 
 // WithBoardVariant selects the simulated board build.
 func WithBoardVariant(v BoardVariant) CampaignOption {
-	return func(c *Campaign) { c.variant = v }
+	return func(c *Campaign) { c.cfg.Platform = string(v) }
 }
 
 // WithParam sets one scenario parameter by key, e.g. WithParam("E13.fleet",
@@ -127,7 +108,6 @@ type Campaign struct {
 	cfg     experiments.Config
 	workers int
 	ids     []string
-	variant BoardVariant
 	err     error // the first WithParam failure, returned by Run
 }
 
@@ -182,25 +162,13 @@ func (r *CampaignResult) Markdown() string {
 	return experiments.MarkdownSuite(r.Reports, r.cfg)
 }
 
-type campaignUnit struct {
-	scen  int
-	shard int
-}
-
-// Run executes the campaign. It honours ctx: cancellation aborts workers
-// between measurement points and Run returns the context's error.
+// Run executes the campaign through the experiments executor. It honours
+// ctx: cancellation aborts workers between measurement points and Run
+// returns the context's error.
 func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if c.err != nil {
 		return nil, fmt.Errorf("pdr: %w", c.err)
 	}
-	ecfg := c.cfg
-	if err := c.variant.apply(&ecfg); err != nil {
-		return nil, err
-	}
-
 	scens := experiments.All()
 	if len(c.ids) > 0 {
 		scens = scens[:0:0]
@@ -217,95 +185,17 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			scens = append(scens, s)
 		}
 	}
-
-	// The fixed shard plan: one unit per (scenario, shard), independent of
-	// the worker count.
-	var units []campaignUnit
-	parts := make([][]*Report, len(scens))
-	for si, s := range scens {
-		n := s.Shards(ecfg)
-		parts[si] = make([]*Report, n)
-		for k := 0; k < n; k++ {
-			units = append(units, campaignUnit{scen: si, shard: k})
-		}
+	ex, err := experiments.Execute(ctx, scens, c.cfg, c.workers)
+	if err != nil {
+		return nil, err
 	}
-
-	budget := c.workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	var workers int
-	workers, ecfg.Workers = workpool.Split(budget, len(units))
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	t0 := time.Now()
-	pool := &workpool.Counters{}
-	errs := make([]error, len(units))
-	workpool.RunCounted(len(units), workers, pool, func(i int) {
-		u := units[i]
-		if err := runCtx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		u0 := time.Now()
-		env, err := experiments.NewEnvWith(scens[u.scen].EnvConfig(ecfg, u.shard))
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
-		rep, err := scens[u.scen].Run(runCtx, env, u.shard)
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
-		rep.SimEvents += env.Platform.Kernel.Fired()
-		rep.WallMS = float64(time.Since(u0)) / float64(time.Millisecond)
-		parts[u.scen][u.shard] = rep
-	})
-
-	// Deterministic error selection: the lowest-index real failure wins;
-	// bare cancellations (a worker aborted because another unit failed, or
-	// the caller cancelled) only surface when nothing else went wrong.
-	var cancelled error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
-		}
-		return nil, fmt.Errorf("pdr: campaign %s shard %d: %w", scens[units[i].scen].ID, units[i].shard, err)
-	}
-	if cancelled != nil {
-		return nil, cancelled
-	}
-
-	res := &CampaignResult{Seed: ecfg.Seed, Workers: workers, Units: len(units), cfg: ecfg}
-	for si, s := range scens {
-		rep := parts[si][0]
-		if s.Merge != nil {
-			var err error
-			rep, err = s.Merge(ecfg, parts[si])
-			if err != nil {
-				return nil, fmt.Errorf("pdr: campaign %s merge: %w", s.ID, err)
-			}
-			// Merge builds a fresh report from the parts' tables; the
-			// profiling tallies fold in here (sim events sum, wall clock
-			// sums the shards' costs even when they overlapped on workers).
-			for _, p := range parts[si] {
-				rep.SimEvents += p.SimEvents
-				rep.WallMS += p.WallMS
-			}
-		}
-		res.Reports = append(res.Reports, rep)
-	}
-	res.Pool = pool.Snapshot()
-	res.Elapsed = time.Since(t0)
-	return res, nil
+	return &CampaignResult{
+		Reports: ex.Reports,
+		Seed:    c.cfg.Seed,
+		Workers: ex.Workers,
+		Units:   ex.Units,
+		Pool:    ex.Pool,
+		Elapsed: ex.Elapsed,
+		cfg:     c.cfg,
+	}, nil
 }
