@@ -19,7 +19,7 @@ import (
 // draws the RNG differently, or skips/duplicates work trips this test.
 func TestDeterministicReports(t *testing.T) {
 	run := func() (*experiments.Report, uint64) {
-		env, err := experiments.NewEnv(42)
+		env, err := experiments.NewEnvWith(experiments.Config{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -52,8 +53,9 @@ func AblationCRC(env *Env) (*Report, error) {
 
 // AblationKnee (A2): decompose the ≈790 MB/s plateau into its three causes —
 // port slot rate, DDR refresh, CDC handshake — by re-running the 280 MHz
-// point with each mechanism idealised.
-func AblationKnee(env *Env) (*Report, error) {
+// point with each mechanism idealised, each on its own board of the
+// campaign platform.
+func AblationKnee(ctx context.Context, src *Boards, _ int) (*Report, error) {
 	rep := &Report{
 		ID:     "A2",
 		Title:  "what limits the plateau at 280 MHz",
@@ -63,7 +65,7 @@ func AblationKnee(env *Env) (*Report, error) {
 		name   string
 		params dram.Params
 	}
-	base := env.Platform.Profile.DRAM
+	base := src.Profile.DRAM
 	noRefresh := base
 	noRefresh.RefreshInterval = 0
 	fastPort := base
@@ -77,8 +79,11 @@ func AblationKnee(env *Env) (*Report, error) {
 		{"2x port rate", fastPort},
 	}
 	for _, v := range variants {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		params := v.params
-		p, err := zynq.NewPlatform(zynq.Options{Seed: 42, Profile: env.Platform.Profile, FastThermal: true, DRAMParams: &params})
+		p, err := src.boot(zynq.Options{Seed: 42, Profile: src.Profile, FastThermal: true, DRAMParams: &params})
 		if err != nil {
 			return nil, err
 		}

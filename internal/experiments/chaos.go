@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -107,7 +108,7 @@ var chaosHeader = []string{
 	"repairs", "availability", "goodput [req/s]", "p99 [ms]", "deadline misses",
 }
 
-func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
+func chaosShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	names := cluster.RouterNames()
 	if shard < 0 || shard >= len(names) {
 		return nil, fmt.Errorf("experiments: chaos shard %d out of range", shard)
@@ -119,21 +120,21 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, boards, err := chaosStream(env.Cfg)
+	tr, boards, err := chaosStream(src.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	schedule, err := chaosStorm(env.Cfg).Schedule()
+	schedule, err := chaosStorm(src.Cfg).Schedule()
 	if err != nil {
 		return nil, err
 	}
 	f, err := cluster.New(cluster.FleetConfig{
 		Boards:  boards,
-		Seed:    env.Cfg.Seed,
+		Seed:    src.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.Workers,
-		Trace:   obsFleet(env.Cfg, "E15", shard, router.Name()),
+		Workers: src.Cfg.Workers,
+		Trace:   obsFleet(src.Cfg, "E15", shard, router.Name()),
 		// The scaler's job here is repair, not capacity: it starts one short
 		// of full and must re-activate the spare when a crash empties a slot.
 		Autoscaler: &cluster.AutoscalerConfig{
@@ -182,7 +183,7 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func chaosMerge(cfg Config, parts []*Report) (*Report, error) {
+func chaosMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E15", chaosTitle, chaosHeader, parts)
 	aff := rep.points("e15_affinity")
 	jsq := rep.points("e15_least-outstanding")

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/cluster"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -180,8 +181,8 @@ func diurnalFlashWindow(wins []cluster.WindowStat) (offered, shed int) {
 	return offered, shed
 }
 
-func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	policies := diurnalPolicies(env.Cfg)
+func diurnalShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	policies := diurnalPolicies(src.Cfg)
 	if shard < 0 || shard >= len(policies) {
 		return nil, fmt.Errorf("experiments: diurnal shard %d out of range", shard)
 	}
@@ -189,17 +190,17 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	policy := policies[shard]
-	tr, err := DiurnalTrace(env.Cfg)
+	tr, err := DiurnalTrace(src.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	f, err := cluster.New(cluster.FleetConfig{
-		Boards:  diurnalBoards(env.Cfg),
-		Seed:    env.Cfg.Seed,
+		Boards:  diurnalBoards(src.Cfg),
+		Seed:    src.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  cluster.LeastOutstanding(),
-		Workers: env.Cfg.Workers,
-		Trace:   obsFleet(env.Cfg, "E16", shard, policy),
+		Workers: src.Cfg.Workers,
+		Trace:   obsFleet(src.Cfg, "E16", shard, policy),
 		Autoscaler: &cluster.AutoscalerConfig{
 			Window: diurnalHour,
 			Min:    1,
@@ -296,7 +297,7 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func diurnalMerge(cfg Config, parts []*Report) (*Report, error) {
+func diurnalMerge(cfg Config, prof *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E16", diurnalTitle, diurnalHeader, parts)
 	re := rep.points("e16_" + string(cluster.ScalerReactive))
 	pr := rep.points("e16_" + string(cluster.ScalerPredictive))
@@ -313,10 +314,6 @@ func diurnalMerge(cfg Config, parts []*Report) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"one simulated day (24 h compressed to %v), diurnal base rate %g–%g req/s with a +%d req/s flash crowd at hour %d; stream %s, identical for every policy",
 		diurnalDay, 120.0, 450.0, diurnalFlashPeak, diurnalFlashStart, source))
-	prof, err := ProfileFor(cfg)
-	if err != nil {
-		return nil, err
-	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d× %s fleet, cold caches, autoscaler window %v bounds 1…%d, predictive planning at %d req/s per board (Holt smoothing); SLO classes latency (%v) 3:1 over batch (%v); curve peak %.0f req/s",
 		diurnalFleetSize, prof.Name, diurnalHour, diurnalFleetSize,

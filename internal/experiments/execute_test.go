@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/platform"
+	"repro/internal/sim"
 )
 
 // runOne executes one scenario through Execute at the given goroutine
@@ -25,7 +28,7 @@ func synthetic(n int, fn func(ctx context.Context, shard int) (*Report, error)) 
 		ID:     "T1",
 		Title:  "synthetic",
 		Shards: func(Config) int { return n },
-		Run: func(ctx context.Context, _ *Env, shard int) (*Report, error) {
+		Run: func(ctx context.Context, _ *Boards, shard int) (*Report, error) {
 			return fn(ctx, shard)
 		},
 	}
@@ -89,17 +92,27 @@ func TestExecuteErrorSelection(t *testing.T) {
 	}
 }
 
+// newBoards is the source Execute hands one unit of a campaign on cfg.
+func newBoards(t *testing.T, cfg Config) *Boards {
+	t.Helper()
+	prof, err := ProfileFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Boards{Cfg: cfg, Profile: prof}
+}
+
 // TestExecuteMergeOrderAndTallies: Merge sees the parts in shard index
 // order whatever the schedule, and the merged report's SimEvents and
-// WallMS fold over the parts, each of which carries its Env kernel's
-// events on top of its own.
+// WallMS fold over the parts. A shard that boots no board reports exactly
+// the events it set itself.
 func TestExecuteMergeOrderAndTallies(t *testing.T) {
 	for _, budget := range []int{1, 4} {
 		s := synthetic(5, func(ctx context.Context, shard int) (*Report, error) {
 			return &Report{Rows: [][]string{{strconv.Itoa(shard)}}, SimEvents: 1000 * uint64(shard+1)}, nil
 		})
 		var seen []*Report
-		s.Merge = func(cfg Config, parts []*Report) (*Report, error) {
+		s.Merge = func(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 			seen = parts
 			return &Report{ID: "T1", SimEvents: 7}, nil
 		}
@@ -115,7 +128,7 @@ func TestExecuteMergeOrderAndTallies(t *testing.T) {
 			if got := p.Rows[0][0]; got != strconv.Itoa(k) {
 				t.Errorf("budget %d: part %d came from shard %s", budget, k, got)
 			}
-			if p.SimEvents <= 1000*uint64(k+1) || p.WallMS <= 0 {
+			if p.SimEvents != 1000*uint64(k+1) || p.WallMS <= 0 {
 				t.Errorf("budget %d: part %d tallies %d events, %.3f ms", budget, k, p.SimEvents, p.WallMS)
 			}
 			wantEvents += p.SimEvents
@@ -124,6 +137,48 @@ func TestExecuteMergeOrderAndTallies(t *testing.T) {
 		if rep := ex.Reports[0]; rep.SimEvents != wantEvents || rep.WallMS != wantWall {
 			t.Errorf("budget %d: merged tallies %d events, %.3f ms; want %d, %.3f",
 				budget, rep.SimEvents, rep.WallMS, wantEvents, wantWall)
+		}
+	}
+}
+
+// TestExecuteCountsEveryBootedBoard: a shard that boots two boards — the
+// campaign platform and a named one — reports its own events plus every
+// event both kernels fired, including the load run on the first, at any
+// budget.
+func TestExecuteCountsEveryBootedBoard(t *testing.T) {
+	for _, budget := range []int{1, 4} {
+		kernels := make([][]*sim.Kernel, 3)
+		s := synthetic(3, nil)
+		s.Run = func(ctx context.Context, src *Boards, shard int) (*Report, error) {
+			campaign, err := src.Env()
+			if err != nil {
+				return nil, err
+			}
+			if _, err := campaign.Controller.Load("RP1", campaign.Bitstream); err != nil {
+				return nil, err
+			}
+			named, err := src.EnvFor("zc706")
+			if err != nil {
+				return nil, err
+			}
+			kernels[shard] = []*sim.Kernel{campaign.Platform.Kernel, named.Platform.Kernel}
+			return &Report{SimEvents: 100 * uint64(shard+1)}, nil
+		}
+		var parts []*Report
+		s.Merge = func(_ Config, _ *platform.Profile, ps []*Report) (*Report, error) {
+			parts = ps
+			return &Report{}, nil
+		}
+		if _, err := Execute(context.Background(), []Scenario{s}, Config{Seed: 1}, budget); err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range parts {
+			ks := kernels[k]
+			want := 100*uint64(k+1) + ks[0].Fired() + ks[1].Fired()
+			if p.SimEvents != want {
+				t.Errorf("budget %d: shard %d tallies %d events, want %d (own %d + boards %d, %d)",
+					budget, k, p.SimEvents, want, 100*(k+1), ks[0].Fired(), ks[1].Fired())
+			}
 		}
 	}
 }

@@ -9,8 +9,8 @@
 // Scenarios are registered at init in a package registry (see registry.go)
 // and discovered by ID ("E1"…"E17", "A1"…"A5") or legacy alias ("tableI"…).
 // Every scenario declares a fixed shard plan — independent work units that
-// each run on a fresh Env — and Execute runs the shards on any number of
-// workers and merges by index to byte-identical output.
+// each boot their own fresh boards — and Execute runs the shards on any
+// number of workers and merges by index to byte-identical output.
 package experiments
 
 import (
@@ -43,7 +43,7 @@ type Report struct {
 	Notes []string `json:"notes,omitempty"`
 
 	// SimEvents counts the simulation events fired producing this report
-	// (board kernels for fleet scenarios, the env kernel otherwise);
+	// (every board the shards booted, fleet and planner boards included);
 	// WallMS is the wall-clock cost of computing it. Both feed the
 	// pdrbench summary table only — excluded from the JSON encoding so
 	// report files stay byte-identical across machines, worker counts,
@@ -251,19 +251,11 @@ func obsFleet(cfg Config, id string, shard int, label string) *obs.FleetTrace {
 }
 
 // Env is a fresh measurement setup: platform, controller and the standard
-// 529 KB partial bitstream, plus the campaign configuration that built it.
+// 529 KB partial bitstream.
 type Env struct {
 	Platform   *zynq.Platform
 	Controller *core.Controller
 	Bitstream  *bitstream.Bitstream
-	// Cfg is the configuration this Env was built from (grids, seed).
-	Cfg Config
-}
-
-// NewEnv builds a booted platform with the standard test bitstream (the
-// "fir128" ASP on RP1 — any ASP yields the same calibrated size).
-func NewEnv(seed uint64) (*Env, error) {
-	return NewEnvWith(Config{Seed: seed})
 }
 
 // ProfileFor resolves the configuration's platform profile.
@@ -275,7 +267,9 @@ func ProfileFor(cfg Config) (*platform.Profile, error) {
 	return prof, nil
 }
 
-// NewEnvWith is NewEnv with the full campaign configuration applied.
+// NewEnvWith builds a booted platform of the configuration's board with
+// the standard test bitstream (the "fir128" ASP on RP1 — any ASP yields
+// the same calibrated size).
 func NewEnvWith(cfg Config) (*Env, error) {
 	prof, err := ProfileFor(cfg)
 	if err != nil {
@@ -301,7 +295,7 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Platform: p, Controller: c, Bitstream: bs, Cfg: cfg}, nil
+	return &Env{Platform: p, Controller: c, Bitstream: bs}, nil
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

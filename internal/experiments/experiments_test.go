@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -11,7 +12,7 @@ import (
 
 func newEnv(t *testing.T) *Env {
 	t.Helper()
-	env, err := NewEnv(42)
+	env, err := NewEnvWith(Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestAblationCRCBounded(t *testing.T) {
 }
 
 func TestAblationKneeDecomposition(t *testing.T) {
-	rep, err := AblationKnee(newEnv(t))
+	rep, err := AblationKnee(context.Background(), newBoards(t, Config{Seed: 42}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

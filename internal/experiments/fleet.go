@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -206,8 +207,8 @@ func boardsLabel(specs []cluster.BoardSpec) string {
 	return strings.Join(names, ",")
 }
 
-func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	points := fleetPoints(env.Cfg)
+func scaleShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	points := fleetPoints(src.Cfg)
 	comps := fleetCompositions()
 	if shard < 0 || shard >= len(comps)*points {
 		return nil, fmt.Errorf("experiments: scaleout shard %d out of range", shard)
@@ -217,7 +218,7 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	}
 	comp := comps[shard/points]
 	pt := shard % points
-	sizes := fleetSizes(env.Cfg)
+	sizes := fleetSizes(src.Cfg)
 	auto := pt == len(sizes)
 	size := 0
 	if auto {
@@ -235,13 +236,13 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if auto {
 		label += " (auto)"
 	}
-	st, err := scalePoint(env.Cfg, comp, size, auto,
-		obsFleet(env.Cfg, "E13", shard, fmt.Sprintf("%s x%d", label, size)))
+	st, err := scalePoint(src.Cfg, comp, size, auto,
+		obsFleet(src.Cfg, "E13", shard, fmt.Sprintf("%s x%d", label, size)))
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{ID: "E13", Title: scaleTitle, SimEvents: st.KernelEvents}
-	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp, size)), fleetRouterName(env.Cfg), st))
+	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp, size)), fleetRouterName(src.Cfg), st))
 	if !auto {
 		good := sim.Series{Name: "e13_" + comp.name + "_goodput", XLabel: "fleet_size", YLabel: "goodput_req_per_s"}
 		p99 := sim.Series{Name: "e13_" + comp.name + "_p99", XLabel: "fleet_size", YLabel: "p99_sojourn_us"}
@@ -257,7 +258,7 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func scaleMerge(cfg Config, parts []*Report) (*Report, error) {
+func scaleMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E13", scaleTitle, scaleHeader, parts)
 	for _, comp := range fleetCompositions() {
 		good := rep.points("e13_" + comp.name + "_goodput")
@@ -308,7 +309,7 @@ func routeStream(cfg Config) (workload.Trace, []cluster.BoardSpec, error) {
 	return tr, boards, err
 }
 
-func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
+func routeShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	names := cluster.RouterNames()
 	if shard < 0 || shard >= len(names) {
 		return nil, fmt.Errorf("experiments: route shard %d out of range", shard)
@@ -320,17 +321,17 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, boards, err := routeStream(env.Cfg)
+	tr, boards, err := routeStream(src.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	f, err := cluster.New(cluster.FleetConfig{
 		Boards:  boards,
-		Seed:    env.Cfg.Seed,
+		Seed:    src.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.Workers,
-		Trace:   obsFleet(env.Cfg, "E14", shard, router.Name()),
+		Workers: src.Cfg.Workers,
+		Trace:   obsFleet(src.Cfg, "E14", shard, router.Name()),
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,
 			// Cold, constrained caches: five images per board against the
@@ -363,7 +364,7 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func routeMerge(cfg Config, parts []*Report) (*Report, error) {
+func routeMerge(cfg Config, prof *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E14", routeTitle, routeHeader, parts)
 	aff := rep.points("e14_affinity")
 	rr := rep.points("e14_round-robin")
@@ -371,10 +372,6 @@ func routeMerge(cfg Config, parts []*Report) (*Report, error) {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"bitstream-affinity keeps each image on one board's cache: hit ratio %.0f%% vs round-robin's %.0f%%, p99 %.1f ms vs %.1f ms (%.1f× lower) under Zipf(%.1f) image popularity",
 			100*aff[0].Y, 100*rr[0].Y, aff[1].Y/1000, rr[1].Y/1000, rr[1].Y/aff[1].Y, routeSkew))
-	}
-	prof, err := ProfileFor(cfg)
-	if err != nil {
-		return nil, err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d-board %s fleet, cold %d-image caches vs a %d-image working set, %d req at %d req/s; routing spread is max/min requests per board (1.0 = perfectly balanced)",

@@ -104,8 +104,8 @@ func planSweepMin(sur *plan.Surrogate, cands []plan.Candidate, w plan.Workload, 
 	return best, nil
 }
 
-func planShard(ctx context.Context, env *Env, _ int) (*Report, error) {
-	cfg := env.Cfg
+func planShard(ctx context.Context, src *Boards, _ int) (*Report, error) {
+	cfg := src.Cfg
 	w := planWorkload(cfg)
 	slo := planSLO(cfg)
 	res, err := plan.Search(ctx, plan.Options{

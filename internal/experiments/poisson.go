@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/hll"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -28,15 +29,6 @@ var poissonASPs = []string{"fir128", "sha3", "aes-gcm", "fft1k"}
 
 func poissonShards(Config) int { return poissonSegments }
 
-func poissonTraceFor(cfg Config) (workload.Trace, error) {
-	prof, err := ProfileFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return workload.PoissonTrace(cfg.Seed^0x9E37, poissonRequests,
-		sim.FromMicroseconds(poissonMeanGapUS), prof.RPNames(), poissonASPs), nil
-}
-
 var poissonHeader = []string{"segment", "requests", "hits", "reconfigs", "failures", "reconfig [us]", "makespan [us]", "PDR overhead"}
 
 // The partial report carries the raw segment statistics as a numeric
@@ -52,20 +44,22 @@ const (
 	pmCount
 )
 
-func poissonShard(ctx context.Context, env *Env, shard int) (*Report, error) {
+func poissonShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr, err := poissonTraceFor(env.Cfg)
-	if err != nil {
-		return nil, err
-	}
+	tr := workload.PoissonTrace(src.Cfg.Seed^0x9E37, poissonRequests,
+		sim.FromMicroseconds(poissonMeanGapUS), src.Profile.RPNames(), poissonASPs)
 	lo, hi := segBounds(len(tr), poissonSegments, shard)
 	seg := make(workload.Trace, hi-lo)
 	base := tr[lo].At
 	for i, req := range tr[lo:hi] {
 		req.At -= base
 		seg[i] = req
+	}
+	env, err := src.Env()
+	if err != nil {
+		return nil, err
 	}
 	if _, err := env.Controller.SetFrequencyMHz(200); err != nil {
 		return nil, err
@@ -88,7 +82,7 @@ func poissonShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return &Report{ID: "E9", Title: poissonTitle, Series: []sim.Series{raw}}, nil
 }
 
-func poissonMerge(cfg Config, parts []*Report) (*Report, error) {
+func poissonMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	rep := &Report{ID: "E9", Title: poissonTitle, Header: poissonHeader}
 	overheadSeries := sim.Series{Name: "e9_overhead", XLabel: "segment", YLabel: "pdr_overhead_fraction"}
 	var total [pmCount]float64

@@ -12,15 +12,18 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workpool"
+	"repro/internal/zynq"
 )
 
 // Scenario is one registered, discoverable experiment. A scenario is a pure
-// function of (Config, shard index): every shard runs on its own fresh Env
-// (its own simulation kernel), so shards can execute in any order on any
-// number of workers, and Merge — applied to the shard reports in index
-// order — reconstructs byte-identical output regardless of the schedule.
+// function of (Config, shard index): every shard boots its own fresh boards
+// (each its own simulation kernel) from its Boards source, so shards can
+// execute in any order on any number of workers, and Merge — applied to the
+// shard reports in index order — reconstructs byte-identical output
+// regardless of the schedule.
 type Scenario struct {
 	// ID is the stable experiment id ("E1"…"E17", "A1"…"A5").
 	ID string
@@ -32,21 +35,55 @@ type Scenario struct {
 	// The plan never depends on worker count — that is what makes
 	// parallel output bit-identical to sequential.
 	Shards func(cfg Config) int
-	// ShardConfig optionally rewrites the campaign configuration for one
-	// shard before its Env is built (E10 selects a different platform per
-	// shard). nil means every shard runs the campaign configuration.
-	ShardConfig func(cfg Config, shard int) Config
 	// Platforms optionally lists the platform profiles the scenario's
 	// shards span (the cross-device scenarios sweep every board). nil
 	// means the scenario runs on the campaign's selected platform.
 	Platforms func(cfg Config) []string
-	// Run executes one shard on a fresh Env and returns its (partial)
-	// report. Single-shard scenarios ignore the shard index. Run must
-	// honour ctx between measurement points.
-	Run func(ctx context.Context, env *Env, shard int) (*Report, error)
+	// Run executes one shard, booting whatever boards it measures from
+	// src, and returns its (partial) report. Single-shard scenarios ignore
+	// the shard index. Run must honour ctx between measurement points.
+	Run func(ctx context.Context, src *Boards, shard int) (*Report, error)
 	// Merge combines the per-shard reports, given in shard order, into
-	// the final Report. nil means single-shard: the report is parts[0].
-	Merge func(cfg Config, parts []*Report) (*Report, error)
+	// the final Report; prof is the campaign platform's profile. nil means
+	// single-shard: the report is parts[0].
+	Merge func(cfg Config, prof *platform.Profile, parts []*Report) (*Report, error)
+}
+
+// Boards is one unit's board source: the campaign configuration, its
+// resolved platform profile, and a fresh board on request. Every board a
+// shard measures comes from here, so the executor counts the events of
+// each one; a shard that boots nothing costs no board.
+type Boards struct {
+	// Cfg is the campaign configuration (grids, seed, worker budget).
+	Cfg Config
+	// Profile is Cfg.Platform, resolved once by Execute.
+	Profile *platform.Profile
+	kernels []*sim.Kernel
+}
+
+// Env boots a fresh Env on the campaign platform.
+func (b *Boards) Env() (*Env, error) { return b.EnvFor(b.Cfg.Platform) }
+
+// EnvFor boots a fresh Env on the named platform board.
+func (b *Boards) EnvFor(name string) (*Env, error) {
+	cfg := b.Cfg
+	cfg.Platform = name
+	env, err := NewEnvWith(cfg)
+	if err != nil {
+		return nil, err
+	}
+	b.kernels = append(b.kernels, env.Platform.Kernel)
+	return env, nil
+}
+
+// boot boots a bare platform from explicit options (A2's DRAM variants).
+func (b *Boards) boot(opts zynq.Options) (*zynq.Platform, error) {
+	p, err := zynq.NewPlatform(opts)
+	if err != nil {
+		return nil, err
+	}
+	b.kernels = append(b.kernels, p.Kernel)
+	return p, nil
 }
 
 var (
@@ -123,9 +160,9 @@ type Execution struct {
 // shard), splits the goroutine budget (≤ 0 = one per CPU) with
 // workpool.Split — min(budget, units) shard workers, the rest handed to
 // every unit as cfg.Workers for its fleet epochs or planner simulations —
-// and runs each unit on a fresh Env built from EnvConfig, under pprof
-// labels naming its scenario and shard. Each scenario's parts then merge
-// in index order, so the reports are byte-identical at every budget.
+// and runs each unit on its own Boards source, under pprof labels naming
+// its scenario and shard. Each scenario's parts then merge in index
+// order, so the reports are byte-identical at every budget.
 //
 // An unknown cfg.Platform fails before any shard runs. Shard errors are
 // selected deterministically: the lowest-index real failure wins, and bare
@@ -135,7 +172,8 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, err := ProfileFor(cfg); err != nil {
+	prof, err := ProfileFor(cfg)
+	if err != nil {
 		return nil, err
 	}
 	// The fixed shard plan, independent of the budget.
@@ -163,7 +201,7 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 		u, s := units[i], scens[units[i].scen]
 		labels := pprof.Labels("scenario", s.ID, "shard", strconv.Itoa(u.shard))
 		pprof.Do(runCtx, labels, func(ctx context.Context) {
-			parts[u.scen][u.shard], errs[i] = runShard(ctx, s, cfg, u.shard)
+			parts[u.scen][u.shard], errs[i] = runShard(ctx, s, &Boards{Cfg: cfg, Profile: prof}, u.shard)
 		})
 		if errs[i] != nil {
 			cancel()
@@ -187,8 +225,7 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 	for si, s := range scens {
 		rep := parts[si][0]
 		if s.Merge != nil {
-			var err error
-			if rep, err = s.Merge(cfg, parts[si]); err != nil {
+			if rep, err = s.Merge(cfg, prof, parts[si]); err != nil {
 				return nil, fmt.Errorf("experiments: %s merge: %w", s.ID, err)
 			}
 			// Merge builds a fresh report from the parts' tables; the
@@ -206,41 +243,34 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 	return ex, nil
 }
 
-// runShard runs one unit on a fresh Env and tallies its costs.
-func runShard(ctx context.Context, s Scenario, cfg Config, shard int) (*Report, error) {
+// runShard runs one unit and tallies its costs: on top of the events the
+// shard set itself (fleet boards, planner simulations), every kernel it
+// booted from src.
+func runShard(ctx context.Context, s Scenario, src *Boards, shard int) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	env, err := NewEnvWith(s.EnvConfig(cfg, shard))
+	rep, err := s.Run(ctx, src, shard)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.Run(ctx, env, shard)
-	if err != nil {
-		return nil, err
+	for _, k := range src.kernels {
+		rep.SimEvents += k.Fired()
 	}
-	// Shards that run on their own simulators (fleet boards) set
-	// SimEvents themselves; the env kernel covers the rest.
-	rep.SimEvents += env.Platform.Kernel.Fired()
 	rep.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	return rep, nil
 }
 
-// EnvConfig returns the configuration a given shard's Env must be built
-// from: the campaign configuration, rewritten by ShardConfig when the
-// scenario declares one.
-func (s Scenario) EnvConfig(cfg Config, shard int) Config {
-	if s.ShardConfig == nil {
-		return cfg
-	}
-	return s.ShardConfig(cfg, shard)
-}
-
-// single adapts a legacy whole-artefact runner to the shard interface.
-func single(fn func(*Env) (*Report, error)) func(context.Context, *Env, int) (*Report, error) {
-	return func(ctx context.Context, env *Env, _ int) (*Report, error) {
+// single adapts a whole-artefact runner to the shard interface: it runs
+// on a fresh board of the campaign platform.
+func single(fn func(*Env) (*Report, error)) func(context.Context, *Boards, int) (*Report, error) {
+	return func(ctx context.Context, src *Boards, _ int) (*Report, error) {
 		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		env, err := src.Env()
+		if err != nil {
 			return nil, err
 		}
 		return fn(env)
@@ -362,24 +392,22 @@ func init() {
 		Merge:   poissonMerge,
 	})
 	Register(Scenario{
-		ID:          "E10",
-		Title:       xplatTitle,
-		Aliases:     []string{"xplat"},
-		Shards:      xplatShards,
-		ShardConfig: xplatShardConfig,
-		Platforms:   boardNames,
-		Run:         xplatShard,
-		Merge:       xplatMerge,
+		ID:        "E10",
+		Title:     xplatTitle,
+		Aliases:   []string{"xplat"},
+		Shards:    xplatShards,
+		Platforms: boardNames,
+		Run:       xplatShard,
+		Merge:     xplatMerge,
 	})
 	Register(Scenario{
-		ID:          "E11",
-		Title:       satTitle,
-		Aliases:     []string{"saturate"},
-		Shards:      satShards,
-		ShardConfig: satShardConfig,
-		Platforms:   boardNames,
-		Run:         satShard,
-		Merge:       satMerge,
+		ID:        "E11",
+		Title:     satTitle,
+		Aliases:   []string{"saturate"},
+		Shards:    satShards,
+		Platforms: boardNames,
+		Run:       satShard,
+		Merge:     satMerge,
 	})
 	Register(Scenario{
 		ID:      "E12",
@@ -438,7 +466,7 @@ func init() {
 		ID:      "A2",
 		Title:   "what limits the plateau at 280 MHz",
 		Aliases: []string{"knee"},
-		Run:     single(AblationKnee),
+		Run:     AblationKnee,
 	})
 	Register(Scenario{
 		ID:      "A3",

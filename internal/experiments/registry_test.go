@@ -190,28 +190,21 @@ func TestMarkdownEscapesPipes(t *testing.T) {
 // TestScenarioCancellation: a sharded scenario must stop between
 // measurement points when its context dies.
 func TestScenarioCancellation(t *testing.T) {
-	env, err := NewEnv(42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s, _ := Lookup("E3")
-	if _, err := s.Run(ctx, env, 0); err != context.Canceled {
+	if _, err := s.Run(ctx, newBoards(t, Config{Seed: 42}), 0); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestShardDeterminism: re-running the same shard on a fresh Env must give
-// identical partial output — the property the campaign merge relies on.
+// TestShardDeterminism: re-running the same shard on a fresh source must
+// give identical partial output — the property the campaign merge relies
+// on.
 func TestShardDeterminism(t *testing.T) {
 	s, _ := Lookup("E4")
 	runShard := func() string {
-		env, err := NewEnv(42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(context.Background(), env, 1)
+		rep, err := s.Run(context.Background(), newBoards(t, Config{Seed: 42}), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

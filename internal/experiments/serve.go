@@ -25,9 +25,9 @@ import (
 //     on the campaign platform, under a bursty multi-tenant stream.
 //
 // Both scenarios shard like every other: E11 one shard per (platform,
-// rate segment), E12 one shard per policy; each measurement point runs on
-// its own freshly configured board, so shards are pure functions of the
-// campaign configuration.
+// rate segment), E12 one shard per policy; each measurement point boots
+// its own fresh board, so shards are pure functions of the campaign
+// configuration.
 
 const (
 	satTitle   = "saturation: p99 latency vs offered load, cache vs no-cache (per platform)"
@@ -74,16 +74,6 @@ func satSegments(cfg Config) int {
 
 func satShards(cfg Config) int { return len(platform.Boards()) * satSegments(cfg) }
 
-// satShardConfig maps shard → (board, rate segment): platform-major, so a
-// board's segments are contiguous and the merged rows group per platform.
-func satShardConfig(cfg Config, shard int) Config {
-	boards := platform.Boards()
-	if seg := satSegments(cfg); seg > 0 && shard >= 0 && shard < len(boards)*seg {
-		cfg.Platform = boards[shard/seg].Name
-	}
-	return cfg
-}
-
 func boardNames(Config) []string {
 	boards := platform.Boards()
 	names := make([]string, len(boards))
@@ -104,28 +94,10 @@ var satHeader = []string{
 	"hit rate", "p50 [ms]", "p95 [ms]", "p99 [ms]", "deadline misses",
 }
 
-// envSource hands out one fresh board per measurement point. The shard's
-// own Env is freshly booted by the executor from the shard's
-// configuration, so it serves the first point instead of being thrown
-// away; every later point boots its own from the same configuration.
-type envSource struct {
-	cfg   Config
-	first *Env
-}
-
-func newEnvSource(env *Env) *envSource { return &envSource{cfg: env.Cfg, first: env} }
-
-func (src *envSource) next() (*Env, error) {
-	if env := src.first; env != nil {
-		src.first = nil
-		return env, nil
-	}
-	return NewEnvWith(src.cfg)
-}
-
-// servePoint runs one open-loop measurement on a freshly configured board.
-func servePoint(src *envSource, tr workload.Trace, scfg hll.ServiceConfig) (hll.ServiceStats, error) {
-	env, err := src.next()
+// servePoint runs one open-loop measurement on a fresh board of the named
+// platform.
+func servePoint(src *Boards, board string, tr workload.Trace, scfg hll.ServiceConfig) (hll.ServiceStats, error) {
+	env, err := src.EnvFor(board)
 	if err != nil {
 		return hll.ServiceStats{}, err
 	}
@@ -148,14 +120,15 @@ func hitRate(s hll.ServiceStats) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(s.Hits)/float64(s.Requests))
 }
 
-func satShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	segs := satSegments(env.Cfg)
-	if shard < 0 || shard >= satShards(env.Cfg) {
+func satShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	cfg := src.Cfg
+	segs := satSegments(cfg)
+	if shard < 0 || shard >= satShards(cfg) {
 		return nil, fmt.Errorf("experiments: saturate shard %d out of range", shard)
 	}
-	// satShardConfig built the Env as the shard's board.
-	cfg, prof := env.Cfg, env.Platform.Profile
-	src := newEnvSource(env)
+	// Shards are platform-major, so a board's rate segments are contiguous
+	// and the merged rows group per platform.
+	prof := platform.Boards()[shard/segs]
 	rates := satRateGrid(cfg)
 	lo := (shard % segs) * satSegRates
 	hi := min(lo+satSegRates, len(rates))
@@ -180,7 +153,7 @@ func satShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 			{"cache", 0}, // the profile's derived budget
 			{"none", -1},
 		} {
-			stats, err := servePoint(src, tr, hll.ServiceConfig{
+			stats, err := servePoint(src, prof.Name, tr, hll.ServiceConfig{
 				CacheBudgetBytes: mode.budget,
 				QueueCap:         serveQueueCap,
 				// Steady-state residency: the cache run measures a warm
@@ -229,7 +202,7 @@ func SaturationKnee(points []sim.Point) (knee float64, diverged bool) {
 	return knee, false
 }
 
-func satMerge(cfg Config, parts []*Report) (*Report, error) {
+func satMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	// Shards are platform-major with ascending rate segments, so the
 	// stitched curve per (platform, mode) stays sorted by rate.
 	rep := concat("E11", satTitle, satHeader, parts)
@@ -280,12 +253,12 @@ var schedHeader = []string{
 
 func schedShards(Config) int { return len(sched.PolicyNames()) }
 
-func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
+func schedShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	names := sched.PolicyNames()
 	if shard < 0 || shard >= len(names) {
 		return nil, fmt.Errorf("experiments: sched shard %d out of range", shard)
 	}
-	policy, prof := names[shard], env.Platform.Profile
+	policy, prof := names[shard], src.Profile
 	spec := workload.ArrivalSpec{
 		RatePerSec:  schedRatePerSec,
 		BurstFactor: schedBurstFactor,
@@ -293,14 +266,13 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Tenants:     schedTenants,
 		Deadline:    serveDeadline,
 	}
-	tr, err := spec.Generate(env.Cfg.Seed^0x5C4ED, satRequests, prof.RPNames(), satASPs)
+	tr, err := spec.Generate(src.Cfg.Seed^0x5C4ED, satRequests, prof.RPNames(), satASPs)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &Report{ID: "E12", Title: schedTitle}
 	series := sim.Series{Name: "e12_" + policy, XLabel: "budget_index", YLabel: "p99_sojourn_us"}
-	src := newEnvSource(env)
 	// The cache-budget axis: a thrashing 4-image cache, a 12-image cache
 	// just under the 16-image working set, and the platform profile's
 	// derived budget (which holds it all).
@@ -315,7 +287,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		stats, err := servePoint(src, tr, hll.ServiceConfig{
+		stats, err := servePoint(src, src.Cfg.Platform, tr, hll.ServiceConfig{
 			Policy:            policy,
 			CacheBudgetImages: budget.images,
 			QueueCap:          serveQueueCap,
@@ -340,7 +312,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func schedMerge(cfg Config, parts []*Report) (*Report, error) {
+func schedMerge(cfg Config, prof *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E12", schedTitle, schedHeader, parts)
 	// Headline: policies matter most when the cache thrashes — compare p99
 	// at the smallest budget, and note the convergence at the profile one.
@@ -384,10 +356,6 @@ func schedMerge(cfg Config, parts []*Report) (*Report, error) {
 				"under the thrashing 4-image budget the best policy (%s) cuts p99 %.1f× vs the worst — dispatch order decides how often the ICAP reconfigures; once the profile budget holds the working set the policies converge (sbf ≡ affinity here: uniform RP cuts make every image the same size)",
 				winners, worstP99/best.p99))
 		}
-	}
-	prof, err := ProfileFor(cfg)
-	if err != nil {
-		return nil, err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"bursty multi-tenant stream (%d req at %d req/s mean, %dx bursts of %d) on %s; the 4-image budget thrashes against a %d-image working set, re-staging from SD on most swaps",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -12,9 +13,9 @@ import (
 // This file holds the sharded scenario implementations: the fine-grained
 // sweep (E2), the heat-gun stress matrix (E3) and the power grid (E4) split
 // into independent work units — one per frequency segment or temperature —
-// each running on a fresh Env. The shard plan is a function of the Config
-// only, never of worker count, and the merge functions reassemble the
-// shard reports in index order, so a parallel campaign reproduces the
+// each booting its own fresh board. The shard plan is a function of the
+// Config only, never of worker count, and the merge functions reassemble
+// the shard reports in index order, so a parallel campaign reproduces the
 // sequential output byte for byte.
 
 const (
@@ -77,9 +78,13 @@ func fig5Shards(cfg Config) int {
 	return min(fig5SegmentGoal, len(fig5Grid(cfg)))
 }
 
-func fig5Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	freqs := fig5Grid(env.Cfg)
-	lo, hi := segBounds(len(freqs), fig5Shards(env.Cfg), shard)
+func fig5Shard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	freqs := fig5Grid(src.Cfg)
+	lo, hi := segBounds(len(freqs), fig5Shards(src.Cfg), shard)
+	env, err := src.Env()
+	if err != nil {
+		return nil, err
+	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
 	points, err := cal.SweepContext(ctx, freqs[lo:hi])
 	if err != nil {
@@ -98,7 +103,7 @@ func fig5Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func fig5Merge(cfg Config, parts []*Report) (*Report, error) {
+func fig5Merge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E2", fig5Title, []string{"freq [MHz]", "throughput [MB/s]"}, parts)
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("curve linear until ≈%.0f MHz, then flattens (paper: ≈200 MHz)", kneeMHz(rep.Series[0].Points)),
@@ -113,9 +118,13 @@ func stressShards(cfg Config) int {
 	return len(temps)
 }
 
-func stressShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	freqs, temps := stressGrid(env.Cfg)
+func stressShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	freqs, temps := stressGrid(src.Cfg)
 	temp := temps[shard]
+	env, err := src.Env()
+	if err != nil {
+		return nil, err
+	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
 	cells, err := cal.StressMatrixContext(ctx, freqs, []float64{temp})
 	if err != nil {
@@ -132,7 +141,7 @@ func stressShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func stressMerge(cfg Config, parts []*Report) (*Report, error) {
+func stressMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	freqs, temps := stressGrid(cfg)
 	header := []string{"freq\\temp"}
 	for _, t := range temps {
@@ -164,9 +173,13 @@ func fig6Shards(cfg Config) int {
 	return len(temps)
 }
 
-func fig6Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	freqs, temps := fig6Grid(env.Cfg)
+func fig6Shard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	freqs, temps := fig6Grid(src.Cfg)
 	temp := temps[shard]
+	env, err := src.Env()
+	if err != nil {
+		return nil, err
+	}
 	meter := power.NewMeter(env.Platform.Kernel, env.Platform.Power, 100*sim.Microsecond)
 	pp := &core.PowerProfiler{C: env.Controller, Meter: meter, Bitstream: env.Bitstream}
 	points, err := pp.GridContext(ctx, freqs, []float64{temp})
@@ -182,7 +195,7 @@ func fig6Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return &Report{ID: "E4", Title: fig6Title, Series: []sim.Series{s}}, nil
 }
 
-func fig6Merge(cfg Config, parts []*Report) (*Report, error) {
+func fig6Merge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	freqs, temps := fig6Grid(cfg)
 	header := []string{"freq [MHz]"}
 	for _, t := range temps {

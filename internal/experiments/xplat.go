@@ -21,16 +21,6 @@ const xplatTitle = "cross-platform Table I sweep and knee decomposition"
 
 func xplatShards(Config) int { return len(platform.Boards()) }
 
-// xplatShardConfig rewrites the campaign configuration so shard i's Env is
-// built directly as board i — the campaign machinery then boots exactly one
-// board per shard.
-func xplatShardConfig(cfg Config, shard int) Config {
-	if shard >= 0 && shard < len(platform.Boards()) {
-		cfg.Platform = platform.Boards()[shard].Name
-	}
-	return cfg
-}
-
 // xplatGrid is the sweep grid for a platform: the campaign's frequency
 // override when given, otherwise the board's own switch table (its
 // Table-I-equivalent operational grid).
@@ -41,11 +31,14 @@ func xplatGrid(cfg Config, prof *platform.Profile) []float64 {
 	return prof.IO.SwitchTableMHz
 }
 
-func xplatShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	// xplatShardConfig built the Env as the shard's board.
-	prof := env.Platform.Profile
+func xplatShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
+	prof := platform.Boards()[shard]
+	env, err := src.EnvFor(prof.Name)
+	if err != nil {
+		return nil, err
+	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
-	freqs := xplatGrid(env.Cfg, prof)
+	freqs := xplatGrid(src.Cfg, prof)
 	points, err := cal.SweepContext(ctx, freqs)
 	if err != nil {
 		return nil, err
@@ -79,7 +72,7 @@ func xplatShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func xplatMerge(cfg Config, parts []*Report) (*Report, error) {
+func xplatMerge(cfg Config, _ *platform.Profile, parts []*Report) (*Report, error) {
 	rep := concat("E10", xplatTitle,
 		[]string{"platform", "freq [MHz]", "latency [us]", "throughput [MB/s]", "CRC", "outcome"}, parts)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(

@@ -101,7 +101,7 @@ func WithTracer(t *Tracer) CampaignOption {
 
 // Campaign runs a set of registered scenarios, sharded across a pool of
 // workers. Every shard is a pure function of the campaign configuration
-// and runs on its own freshly booted System, and shard reports merge by
+// and boots its own fresh simulated boards, and shard reports merge by
 // index, so the output is bit-identical whatever the worker count — a
 // parallel campaign is just a faster sequential one.
 type Campaign struct {

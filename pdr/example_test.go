@@ -1,6 +1,7 @@
 package pdr_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -324,4 +325,55 @@ func ExampleSystem_SRAMPipeline() {
 	// Sec. VI  SRAM raw          :  427.39 µs   1237.17 MB/s  (SRAM held 528712 bytes, CRC valid=true)
 	// Sec. VI  SRAM compressed   :  247.15 µs   2139.40 MB/s  (SRAM held 263952 bytes, CRC valid=true)
 	// paper's theoretical SRAM rate: 1237.5 MB/s
+}
+
+// Run a slice of the paper's evaluation as a campaign: the Table I sweep
+// and the heat-gun stress matrix, split into shards on two workers. Any
+// worker count prints the same bytes; only the wall clock changes.
+func ExampleCampaign() {
+	res, err := pdr.NewCampaign(
+		pdr.WithCampaignSeed(42),
+		pdr.WithWorkers(2),
+		pdr.WithScenarios("E1", "E3"),
+	).Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, rep := range res.Reports {
+		fmt.Println(rep.Markdown())
+	}
+	fmt.Printf("%d scenarios as %d shards on %d workers\n", len(res.Reports), res.Units, res.Workers)
+	// Output:
+	// ## E1 — Table I — throughput vs. frequency when over-clocking
+	//
+	// | ICAP freq [MHz] | Config latency [us] | Throughput [MB/s] | CRC | paper latency | paper MB/s |
+	// |---|---|---|---|---|---|
+	// | 100 | 1325.04 | 399.05 | valid | 1325.60 | 399.06 |
+	// | 140 | 947.39 | 558.12 | valid | 947.40 | 558.12 |
+	// | 180 | 737.58 | 716.88 | valid | 737.50 | 716.96 |
+	// | 200 | 675.47 | 782.80 | valid | 676.30 | 781.84 |
+	// | 240 | 672.03 | 786.81 | valid | 671.90 | 786.96 |
+	// | 280 | 669.01 | 790.37 | valid | 669.20 | 790.14 |
+	// | 310 | N/A no interrupt | N/A | valid | N/A no interrupt | N/A |
+	// | 320 | N/A no interrupt | N/A | not valid | N/A no interrupt | N/A |
+	// | 360 | N/A no interrupt | N/A | not valid | N/A no interrupt | N/A |
+	//
+	// - bitstream size 528760 bytes (the size Table I's latency×throughput implies)
+	//
+	// ## E3 — Sec. IV-A — temperature stress (pass = CRC valid)
+	//
+	// | freq\temp | 40C | 50C | 60C | 70C | 80C | 90C | 100C |
+	// |---|---|---|---|---|---|---|---|
+	// | 100 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 140 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 180 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 200 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 240 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 280 MHz | pass | pass | pass | pass | pass | pass | pass |
+	// | 310 MHz | pass | pass | pass | pass | pass | pass | FAIL |
+	//
+	// - 1 failing cell(s); paper reports exactly one: 310 MHz @ 100 °C
+	// - stressed as 7 independent temperature columns, each on a freshly heated board
+	//
+	// 2 scenarios as 8 shards on 2 workers
 }
