@@ -73,14 +73,15 @@ func BenchmarkCompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	raw := bs.Encode()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bitstream.Compress(bs.Raw); err != nil {
+		if _, err := bitstream.Compress(raw); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(len(bs.Raw)))
+	b.SetBytes(int64(len(raw)))
 }
 
 func BenchmarkDecompress(b *testing.B) {
@@ -94,7 +95,7 @@ func BenchmarkDecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	comp, err := bitstream.Compress(bs.Raw)
+	comp, err := bitstream.Compress(bs.Encode())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func BenchmarkDecompress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(len(bs.Raw)))
+	b.SetBytes(int64(bs.Size()))
 }
 
 // BenchmarkKernelEvents measures the DES kernel's event throughput (the

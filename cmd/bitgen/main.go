@@ -82,13 +82,14 @@ func realMain(aspName, rpName, out string, compress bool, inspect string, all bo
 	if err != nil {
 		return err
 	}
-	data := bs.Raw
+	raw := bs.Encode()
+	data := raw
 	if compress {
-		if data, err = bitstream.Compress(bs.Raw); err != nil {
+		if data, err = bitstream.Compress(raw); err != nil {
 			return err
 		}
 		fmt.Printf("compressed %d → %d bytes (%.2fx)\n",
-			len(bs.Raw), len(data), bitstream.CompressionRatio(bs.Raw, data))
+			len(raw), len(data), bitstream.CompressionRatio(raw, data))
 	}
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err

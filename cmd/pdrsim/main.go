@@ -92,8 +92,8 @@ func runSetting(prof *platform.Profile, sw int, heat float64, seed uint64) (stri
 	if err != nil {
 		return "", err
 	}
-	b.SD.Store("partial_a.bit", bsA.Raw)
-	b.SD.Store("partial_b.bit", bsB.Raw)
+	b.SD.Store("partial_a.bit", bsA.Encode())
+	b.SD.Store("partial_b.bit", bsB.Encode())
 
 	if err := b.Boot(); err != nil {
 		return "", err

@@ -54,7 +54,7 @@ func TestBuildProducesPaperCalibratedSize(t *testing.T) {
 
 func TestBuildHeaderRoundTrip(t *testing.T) {
 	_, _, bs := buildStandard(t)
-	h, err := ParseHeader(bs.Raw)
+	h, err := ParseHeader(bs.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,7 @@ func TestBuildHeaderRoundTrip(t *testing.T) {
 
 func TestParseHeaderDetectsCorruption(t *testing.T) {
 	_, _, bs := buildStandard(t)
-	raw := make([]byte, len(bs.Raw))
-	copy(raw, bs.Raw)
+	raw := bs.Encode()
 	raw[HeaderBytes+12345] ^= 0x40
 	if _, err := ParseHeader(raw); err == nil {
 		t.Error("payload corruption must fail the file CRC")
@@ -83,8 +82,7 @@ func TestParseHeaderDetectsCorruption(t *testing.T) {
 	if _, err := ParseHeader(raw[:20]); err == nil {
 		t.Error("truncated header must fail")
 	}
-	bad := make([]byte, len(bs.Raw))
-	copy(bad, bs.Raw)
+	bad := bs.Encode()
 	copy(bad[0:8], "NOTMAGIC")
 	if _, err := ParseHeader(bad); err == nil {
 		t.Error("bad magic must fail")
@@ -239,13 +237,13 @@ func TestBuildComputesDerivedState(t *testing.T) {
 	// never written after construction.
 	_, _, bs := buildStandard(t)
 	words := bs.Words()
-	body := bs.Raw[HeaderBytes:]
+	body := bs.Encode()[HeaderBytes:]
 	if len(body) != 4*len(words) {
-		t.Fatalf("Raw body %d bytes for %d words", len(body), len(words))
+		t.Fatalf("encoded body %d bytes for %d words", len(body), len(words))
 	}
 	for i, w := range words {
 		if got := binary.BigEndian.Uint32(body[i*4:]); got != w {
-			t.Fatalf("word %d = %#x, Raw decodes to %#x", i, w, got)
+			t.Fatalf("word %d = %#x, Encode writes %#x", i, w, got)
 		}
 	}
 	if got, want := bs.FrameCRC(), FrameCRC(bs.Frames); got != want {
@@ -253,9 +251,46 @@ func TestBuildComputesDerivedState(t *testing.T) {
 	}
 }
 
+func TestFramesAliasWords(t *testing.T) {
+	// The image holds its payload once: every frame is a view of the
+	// FDRI span of Words, right after the type-2 FDRI header.
+	d, rp, bs := buildStandard(t)
+	words := bs.Words()
+	fdri := -1
+	for i := 0; i+1 < len(words); i++ {
+		if words[i] == Type1(OpWrite, RegFDRI, 0) {
+			fdri = i + 2
+			break
+		}
+	}
+	if fdri < 0 || words[fdri-1] != Type2(OpWrite, d.RegionFrames(rp)*fabric.FrameWords) {
+		t.Fatalf("no FDRI write for the region's frames (found at %d)", fdri)
+	}
+	if len(bs.Frames) != d.RegionFrames(rp) {
+		t.Fatalf("%d frames, want %d", len(bs.Frames), d.RegionFrames(rp))
+	}
+	for i, f := range bs.Frames {
+		off := fdri + i*fabric.FrameWords
+		if len(f) != fabric.FrameWords || cap(f) != fabric.FrameWords || &f[0] != &words[off] {
+			t.Fatalf("frame %d is not Words()[%d:%d]", i, off, off+fabric.FrameWords)
+		}
+	}
+}
+
+func TestBuildRejectsNULInName(t *testing.T) {
+	// The header stores the name NUL-padded: a NUL inside would not parse
+	// back.
+	d := platform.Default().NewDevice()
+	rp := platform.Default().RPs(d)[0]
+	if _, err := Build(d, rp, "fir\x00128", testFrames(d.RegionFrames(rp), 1)); err == nil {
+		t.Error("a name with a NUL byte must fail")
+	}
+}
+
 func TestCompressRoundTrip(t *testing.T) {
 	_, _, bs := buildStandard(t)
-	comp, err := Compress(bs.Raw)
+	raw := bs.Encode()
+	comp, err := Compress(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,15 +298,15 @@ func TestCompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(bs.Raw) {
-		t.Fatalf("round trip length %d, want %d", len(back), len(bs.Raw))
+	if len(back) != len(raw) {
+		t.Fatalf("round trip length %d, want %d", len(back), len(raw))
 	}
 	for i := range back {
-		if back[i] != bs.Raw[i] {
+		if back[i] != raw[i] {
 			t.Fatalf("round trip differs at byte %d", i)
 		}
 	}
-	ratio := CompressionRatio(bs.Raw, comp)
+	ratio := CompressionRatio(raw, comp)
 	if ratio < 1.3 {
 		t.Errorf("compression ratio %.2f too low for 60%%-zero bitstream", ratio)
 	}

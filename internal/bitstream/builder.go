@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"repro/internal/fabric"
 )
@@ -34,15 +35,15 @@ type FileHeader struct {
 const fileMagic = "ZPDRBITS"
 
 // Bitstream is a fully assembled partial bitstream plus the metadata needed
-// by loaders and by the ground-truth oracle in tests.
+// by loaders and by the ground-truth oracle in tests. An image holds its
+// payload once, as configuration words; Encode renders the file bytes for
+// the callers that need a file (storage, compression, the SD card).
 type Bitstream struct {
 	Header FileHeader
-	// Raw is the complete file image (header + config words, big-endian).
-	Raw []byte
 	// Start is the first frame address written.
 	Start fabric.FrameAddr
-	// Frames is the frame payload in configuration order (references, not
-	// copies, of the builder input).
+	// Frames is the frame payload in configuration order: sub-slices of
+	// the FDRI span of Words, not copies.
 	Frames [][]uint32
 	// ConfigCRC is the expected running CRC at the CRC-register write.
 	ConfigCRC uint32
@@ -56,10 +57,10 @@ type Bitstream struct {
 }
 
 // Size returns the file image size in bytes.
-func (b *Bitstream) Size() int { return len(b.Raw) }
+func (b *Bitstream) Size() int { return HeaderBytes + 4*b.Header.DataWords }
 
 // Words returns the config-word payload (after the file header) as uint32s:
-// exactly what the big-endian body of Raw decodes to. The same slice is
+// exactly what the big-endian body of Encode decodes to. The same slice is
 // returned on every call: treat it as read-only (loaders stream it directly
 // into the DMA model).
 func (b *Bitstream) Words() []uint32 { return b.words }
@@ -67,6 +68,17 @@ func (b *Bitstream) Words() []uint32 { return b.words }
 // FrameCRC returns the detached checksum of the frame payload (the golden
 // reference the CRC read-back monitor compares against).
 func (b *Bitstream) FrameCRC() uint32 { return b.frameCRC }
+
+// Encode renders the complete file image: the header, then the config
+// words big-endian. Each call returns a fresh buffer the caller owns.
+func (b *Bitstream) Encode() []byte {
+	raw := make([]byte, b.Size())
+	putHeader(raw[:HeaderBytes], b.Header)
+	for i, w := range b.words {
+		binary.BigEndian.PutUint32(raw[HeaderBytes+4*i:], w)
+	}
+	return raw
+}
 
 // Build assembles a partial bitstream that configures region r of device dev
 // with the given frames (len must equal dev.RegionFrames(r)).
@@ -85,6 +97,10 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 	}
 	if len(name) > 15 {
 		return nil, fmt.Errorf("bitstream: name %q longer than 15 bytes", name)
+	}
+	if strings.IndexByte(name, 0) >= 0 {
+		// The header stores the name NUL-padded, so a NUL would cut it.
+		return nil, fmt.Errorf("bitstream: name %q contains a NUL byte", name)
 	}
 
 	start := r.RegionStart()
@@ -151,32 +167,41 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 		overhead++
 	}
 
-	// Serialise.
-	raw := make([]byte, HeaderBytes+4*len(words))
-	for i, w := range words {
-		binary.BigEndian.PutUint32(raw[HeaderBytes+i*4:], w)
+	// Frames alias the FDRI span of words, capped so that no append can
+	// reach a neighbouring frame.
+	views := make([][]uint32, len(frames))
+	for i := range views {
+		off := dataStart + i*fabric.FrameWords
+		views[i] = words[off : off+fabric.FrameWords : off+fabric.FrameWords]
 	}
-	hdr := FileHeader{
-		Name:      name,
-		Part:      dev.Name,
-		DataWords: len(words),
-		Frames:    len(frames),
-		FileCRC:   FileCRC(raw[HeaderBytes:]),
+	// Both checksums fold the words' big-endian bytes, exactly the bytes
+	// Encode writes: the file CRC over every word, the frame CRC over the
+	// FDRI span, which is packed once for both.
+	var h FrameCRCHasher
+	h.Fold(words[:dataStart])
+	var frameCRC uint32
+	for span := words[dataStart : dataStart+dataWords]; len(span) > 0; {
+		n := min(len(span), crcChunkWords)
+		b := h.pack(span[:n])
+		h.crc = crc32.Update(h.crc, castagnoli, b)
+		frameCRC = crc32.Update(frameCRC, castagnoli, b)
+		span = span[n:]
 	}
-	putHeader(raw[:HeaderBytes], hdr)
-	// The frame payload's big-endian bytes sit contiguously in raw: they
-	// are exactly what FrameCRC packs the frames into, so one pass over
-	// them gives the golden read-back checksum.
-	payload := raw[HeaderBytes+4*dataStart:][:4*dataWords]
+	h.Fold(words[dataStart+dataWords:])
 
 	return &Bitstream{
-		Header:    hdr,
-		Raw:       raw,
+		Header: FileHeader{
+			Name:      name,
+			Part:      dev.Name,
+			DataWords: len(words),
+			Frames:    len(frames),
+			FileCRC:   h.Sum(),
+		},
 		Start:     start,
-		Frames:    frames,
+		Frames:    views,
 		ConfigCRC: expectCRC,
 		words:     words,
-		frameCRC:  crc32.Checksum(payload, castagnoli),
+		frameCRC:  frameCRC,
 	}, nil
 }
 

@@ -23,7 +23,7 @@ import (
 const compressMagic = "ZPDRCMPR"
 
 // Compress run-length encodes a word-aligned image (typically
-// Bitstream.Raw). It returns an error for images whose length is not a
+// Bitstream.Encode()). It returns an error for images whose length is not a
 // multiple of 4.
 func Compress(raw []byte) ([]byte, error) {
 	if len(raw)%4 != 0 {
@@ -65,39 +65,58 @@ func Compress(raw []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decompress inverts Compress.
+// maxImageBytes bounds a decompressed image. It is above any 7-series
+// configuration image (the largest, the XC7V2000T's full bitstream, is
+// ≈ 56 MB), so it only turns away streams that could not be bitstreams,
+// such as a few bytes of zero runs claiming gigabytes.
+const maxImageBytes = 64 << 20
+
+// Decompress inverts Compress. The header's length is not trusted: every
+// record is checked first, and the output is allocated only once the whole
+// stream has proved to decode to exactly that length.
 func Decompress(comp []byte) ([]byte, error) {
 	if len(comp) < 12 || string(comp[:8]) != compressMagic {
 		return nil, fmt.Errorf("bitstream: not a compressed image")
 	}
 	origLen := int(binary.BigEndian.Uint32(comp[8:12]))
-	if origLen%4 != 0 {
+	if origLen%4 != 0 || origLen > maxImageBytes {
 		return nil, fmt.Errorf("bitstream: corrupt length %d", origLen)
 	}
-	out := make([]byte, 0, origLen)
-	p := 12
-	for len(out) < origLen {
+	// Pass 1: validate the records without writing anything.
+	n, p := 0, 12
+	for n < origLen {
 		if p+8 > len(comp) {
 			return nil, fmt.Errorf("bitstream: truncated record at offset %d", p)
 		}
 		zeroRun := int(binary.BigEndian.Uint32(comp[p : p+4]))
 		litCount := int(binary.BigEndian.Uint32(comp[p+4 : p+8]))
 		p += 8
-		if zeroRun > (origLen-len(out))/4 {
+		if zeroRun > (origLen-n)/4 {
 			return nil, fmt.Errorf("bitstream: zero run %d overflows output", zeroRun)
 		}
-		out = append(out, make([]byte, zeroRun*4)...)
+		n += zeroRun * 4
 		if p+litCount*4 > len(comp) {
 			return nil, fmt.Errorf("bitstream: literal run %d overflows input", litCount)
 		}
-		if litCount*4 > origLen-len(out) {
+		if litCount*4 > origLen-n {
 			return nil, fmt.Errorf("bitstream: literal run %d overflows output", litCount)
 		}
-		out = append(out, comp[p:p+litCount*4]...)
+		n += litCount * 4
 		p += litCount * 4
 	}
 	if p != len(comp) {
 		return nil, fmt.Errorf("bitstream: %d trailing bytes after records", len(comp)-p)
+	}
+	// Pass 2: the records are sound; copy the literals into a zeroed
+	// output, which already holds every zero run.
+	out := make([]byte, origLen)
+	n, p = 0, 12
+	for n < origLen {
+		n += 4 * int(binary.BigEndian.Uint32(comp[p:p+4]))
+		lit := 4 * int(binary.BigEndian.Uint32(comp[p+4:p+8]))
+		p += 8
+		n += copy(out[n:], comp[p:p+lit])
+		p += lit
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 )
 
@@ -50,10 +51,7 @@ func (c *ConfigCRC) UpdateWords(reg Reg, words []uint32) {
 		off := 0
 		for _, w := range words[:n] {
 			c.buf[off] = regByte
-			c.buf[off+1] = byte(w >> 24)
-			c.buf[off+2] = byte(w >> 16)
-			c.buf[off+3] = byte(w >> 8)
-			c.buf[off+4] = byte(w)
+			binary.BigEndian.PutUint32(c.buf[off+1:], w)
 			off += 5
 		}
 		c.crc = crc32.Update(c.crc, castagnoli, c.buf[:off])
@@ -79,21 +77,21 @@ func (h *FrameCRCHasher) Reset() { h.crc = 0 }
 // Fold accumulates one run of frame words.
 func (h *FrameCRCHasher) Fold(words []uint32) {
 	for len(words) > 0 {
-		n := len(words)
-		if n > crcChunkWords {
-			n = crcChunkWords
-		}
-		off := 0
-		for _, w := range words[:n] {
-			h.buf[off] = byte(w >> 24)
-			h.buf[off+1] = byte(w >> 16)
-			h.buf[off+2] = byte(w >> 8)
-			h.buf[off+3] = byte(w)
-			off += 4
-		}
-		h.crc = crc32.Update(h.crc, castagnoli, h.buf[:off])
+		n := min(len(words), crcChunkWords)
+		h.crc = crc32.Update(h.crc, castagnoli, h.pack(words[:n]))
 		words = words[n:]
 	}
+}
+
+// pack writes at most crcChunkWords words big-endian into the hasher's
+// buffer and returns the bytes written.
+func (h *FrameCRCHasher) pack(words []uint32) []byte {
+	off := 0
+	for _, w := range words {
+		binary.BigEndian.PutUint32(h.buf[off:], w)
+		off += 4
+	}
+	return h.buf[:off]
 }
 
 // Sum returns the accumulated checksum.

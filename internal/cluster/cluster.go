@@ -46,8 +46,9 @@ type BoardSpec struct {
 // ServiceTemplate is the per-board service configuration every fleet board
 // is built from: hll.ServiceConfig itself, resolved by each board's
 // hll.NewService against its own profile, so a mixed fleet gives every
-// board the budget its platform affords. The fleet sets UpsetSeed and
-// Images per board.
+// board the budget its platform affords. The fleet sets UpsetSeed per
+// board, and Images to the fleet's own store when the template leaves it
+// nil.
 type ServiceTemplate = hll.ServiceConfig
 
 // FleetConfig assembles a fleet.
@@ -177,6 +178,12 @@ func New(cfg FleetConfig) (*Fleet, error) {
 	if router == nil {
 		router = RoundRobin()
 	}
+	// One image store serves every board: boards of the same part stage
+	// the same images, which are built once for the store's lifetime —
+	// the caller's scope when it supplies one, else the fleet's.
+	if cfg.Service.Images == nil {
+		cfg.Service.Images = hll.NewImageStore()
+	}
 	f := &Fleet{cfg: cfg, router: router, common: common}
 	if cfg.Autoscaler != nil {
 		if err := cfg.Autoscaler.Validate(len(cfg.Boards)); err != nil {
@@ -190,11 +197,8 @@ func New(cfg FleetConfig) (*Fleet, error) {
 		}
 		f.health = newHealth(cfg.Chaos, len(cfg.Boards))
 	}
-	// One image store serves every board: boards of the same part stage
-	// the same images, which are built once for the fleet's lifetime.
-	images := hll.NewImageStore()
 	for i, spec := range cfg.Boards {
-		b, err := newBoard(cfg, spec, i, images)
+		b, err := newBoard(cfg, spec, i)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: board %d (%s): %w", i, spec.Platform, err)
 		}
@@ -206,7 +210,7 @@ func New(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-func newBoard(cfg FleetConfig, spec BoardSpec, index int, images *hll.ImageStore) (*board, error) {
+func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 	prof, ok := platform.Lookup(spec.Platform)
 	if !ok {
 		return nil, fmt.Errorf("unknown platform %q (registered: %s)", spec.Platform, platform.NameList())
@@ -228,7 +232,6 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int, images *hll.ImageStore
 	}
 	scfg := cfg.Service
 	scfg.UpsetSeed = deriveSeed(cfg.Seed, index) ^ 0x5E0D
-	scfg.Images = images
 	svc, err := hll.NewService(ctrl, scfg)
 	if err != nil {
 		return nil, err

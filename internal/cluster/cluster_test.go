@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/hll"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -34,6 +35,25 @@ func zedboards(n int) []BoardSpec {
 		out[i] = BoardSpec{Platform: "zedboard"}
 	}
 	return out
+}
+
+// TestFleetImageStoreScope: a fleet builds its images in the store its
+// template supplies (a campaign run's), and in a store of its own when
+// the template leaves it nil, never touching the caller's template.
+func TestFleetImageStoreScope(t *testing.T) {
+	store := hll.NewImageStore()
+	cfg := FleetConfig{Boards: zedboards(2), Seed: 1, Service: ServiceTemplate{Images: store}}
+	if got := mustFleet(t, cfg).cfg.Service.Images; got != store {
+		t.Errorf("fleet built from store %p, want the supplied %p", got, store)
+	}
+	cfg.Service.Images = nil
+	a, b := mustFleet(t, cfg), mustFleet(t, cfg)
+	if a.cfg.Service.Images == nil || a.cfg.Service.Images == b.cfg.Service.Images || a.cfg.Service.Images == store {
+		t.Errorf("fleets without a store share one: %p, %p", a.cfg.Service.Images, b.cfg.Service.Images)
+	}
+	if cfg.Service.Images != nil {
+		t.Error("New wrote its store into the caller's template")
+	}
 }
 
 func TestFleetServesEveryRequest(t *testing.T) {
@@ -94,7 +114,7 @@ func TestFleetOfOneMatchesSingleBoardService(t *testing.T) {
 	tr := mustTrace(t, spec, 9, 48, mustFleet(t, cfg).RPNames())
 
 	// The reference: the fleet's own board construction, served directly.
-	ref, err := newBoard(cfg, cfg.Boards[0], 0, nil)
+	ref, err := newBoard(cfg, cfg.Boards[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/internal/zynq"
 )
 
@@ -92,7 +93,7 @@ func AblationKnee(ctx context.Context, src *Boards, _ int) (*Report, error) {
 		if _, err := c.SetFrequencyMHz(280); err != nil {
 			return nil, err
 		}
-		bs, err := buildFor(p, p.RPs[0], "knee", 3)
+		bs, err := workload.ASP{Name: "knee", FillFraction: 0.55, Seed: 3}.Bitstream(p.Device, p.RPs[0])
 		if err != nil {
 			return nil, err
 		}

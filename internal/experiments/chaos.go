@@ -154,6 +154,7 @@ func chaosShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 			// erases exactly the warmth the run started with.
 			Prewarm: satASPs,
 			Repair:  "scrub",
+			Images:  src.images,
 		},
 	})
 	if err != nil {

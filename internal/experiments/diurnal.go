@@ -220,7 +220,7 @@ func diurnalShard(ctx context.Context, src *Boards, shard int) (*Report, error) 
 		// Cold caches on purpose: a board the scaler activates late also
 		// starts staging bitstreams from scratch, so the cold-stage column
 		// prices every scale-up.
-		Service: cluster.ServiceTemplate{QueueCap: diurnalQueueCap},
+		Service: cluster.ServiceTemplate{QueueCap: diurnalQueueCap, Images: src.images},
 	})
 	if err != nil {
 		return nil, err

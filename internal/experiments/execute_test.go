@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitstream"
+	"repro/internal/hll"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -99,7 +101,7 @@ func newBoards(t *testing.T, cfg Config) *Boards {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Boards{Cfg: cfg, Profile: prof}
+	return &Boards{Cfg: cfg, Profile: prof, images: hll.NewImageStore()}
 }
 
 // TestExecuteMergeOrderAndTallies: Merge sees the parts in shard index
@@ -179,6 +181,43 @@ func TestExecuteCountsEveryBootedBoard(t *testing.T) {
 				t.Errorf("budget %d: shard %d tallies %d events, want %d (own %d + boards %d, %d)",
 					budget, k, p.SimEvents, want, 100*(k+1), ks[0].Fired(), ks[1].Fired())
 			}
+		}
+	}
+}
+
+// TestExecuteSharesOneImageStore: the units of one Execute take their
+// images from one store, so every unit's Env holds the same image at any
+// budget; a second Execute has its own store and builds the image again.
+func TestExecuteSharesOneImageStore(t *testing.T) {
+	for _, budget := range []int{1, 4} {
+		run := func() []*bitstream.Bitstream {
+			got := make([]*bitstream.Bitstream, 4)
+			s := Scenario{
+				ID:     "T1",
+				Title:  "synthetic",
+				Shards: func(Config) int { return len(got) },
+				Run: func(ctx context.Context, src *Boards, shard int) (*Report, error) {
+					env, err := src.Env()
+					if err != nil {
+						return nil, err
+					}
+					got[shard] = env.Bitstream
+					return &Report{}, nil
+				},
+			}
+			if _, err := Execute(context.Background(), []Scenario{s}, Config{Seed: 1}, budget); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		first, second := run(), run()
+		for shard, bs := range first {
+			if bs == nil || bs != first[0] {
+				t.Errorf("budget %d: shard %d got image %p, shard 0 %p", budget, shard, bs, first[0])
+			}
+		}
+		if second[0] == first[0] {
+			t.Errorf("budget %d: a second Execute reused the first run's image", budget)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/core"
-	"repro/internal/fabric"
+	"repro/internal/hll"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -270,7 +270,10 @@ func ProfileFor(cfg Config) (*platform.Profile, error) {
 // NewEnvWith builds a booted platform of the configuration's board with
 // the standard test bitstream (the "fir128" ASP on RP1 — any ASP yields
 // the same calibrated size).
-func NewEnvWith(cfg Config) (*Env, error) {
+func NewEnvWith(cfg Config) (*Env, error) { return bootEnv(cfg, hll.NewImageStore()) }
+
+// bootEnv is NewEnvWith taking the standard bitstream from images.
+func bootEnv(cfg Config, images *hll.ImageStore) (*Env, error) {
 	prof, err := ProfileFor(cfg)
 	if err != nil {
 		return nil, err
@@ -291,7 +294,7 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	bs, err := asp.Bitstream(p.Device, p.RPs[0])
+	bs, err := images.Image(p.Device, asp, p.RPs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -308,11 +311,4 @@ func validity(ok bool) string {
 		return "valid"
 	}
 	return "not valid"
-}
-
-// buildFor builds a standard-size bitstream for an arbitrary region (used
-// by SecVI and the A2 knee ablation).
-func buildFor(p *zynq.Platform, rp fabric.Region, name string, seed uint64) (*bitstream.Bitstream, error) {
-	asp := workload.ASP{Name: name, FillFraction: 0.55, Seed: seed}
-	return bitstream.Build(p.Device, rp, name, asp.Frames(p.Device, rp))
 }

@@ -122,7 +122,8 @@ var scaleHeader = []string{
 }
 
 // scalePoint serves the composition's stream on one fleet build.
-func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
+func scalePoint(src *Boards, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
+	cfg := src.Cfg
 	if size < 1 {
 		return nil, fmt.Errorf("experiments: fleet size %d out of range (E13.fleet wants positive sizes)", size)
 	}
@@ -152,6 +153,7 @@ func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,
 			Prewarm:  satASPs,
+			Images:   src.images,
 		},
 	}
 	if auto {
@@ -236,7 +238,7 @@ func scaleShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	if auto {
 		label += " (auto)"
 	}
-	st, err := scalePoint(src.Cfg, comp, size, auto,
+	st, err := scalePoint(src, comp, size, auto,
 		obsFleet(src.Cfg, "E13", shard, fmt.Sprintf("%s x%d", label, size)))
 	if err != nil {
 		return nil, err
@@ -337,6 +339,7 @@ func routeShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 			// Cold, constrained caches: five images per board against the
 			// 16-image working set — residency is earned by routing.
 			CacheBudgetImages: routeCacheImages,
+			Images:            src.images,
 		},
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/hll"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workpool"
@@ -52,12 +53,17 @@ type Scenario struct {
 // Boards is one unit's board source: the campaign configuration, its
 // resolved platform profile, and a fresh board on request. Every board a
 // shard measures comes from here, so the executor counts the events of
-// each one; a shard that boots nothing costs no board.
+// each one; a shard that boots nothing costs no board. It also carries
+// the campaign run's image store, which its Envs use and which a shard
+// hands to the services and fleets it builds.
 type Boards struct {
 	// Cfg is the campaign configuration (grids, seed, worker budget).
 	Cfg Config
 	// Profile is Cfg.Platform, resolved once by Execute.
 	Profile *platform.Profile
+	// images is the run's image store: Execute hands the same one to
+	// every unit, and drops it when the run returns.
+	images  *hll.ImageStore
 	kernels []*sim.Kernel
 }
 
@@ -68,7 +74,7 @@ func (b *Boards) Env() (*Env, error) { return b.EnvFor(b.Cfg.Platform) }
 func (b *Boards) EnvFor(name string) (*Env, error) {
 	cfg := b.Cfg
 	cfg.Platform = name
-	env, err := NewEnvWith(cfg)
+	env, err := bootEnv(cfg, b.images)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +167,9 @@ type Execution struct {
 // workpool.Split — min(budget, units) shard workers, the rest handed to
 // every unit as cfg.Workers for its fleet epochs or planner simulations —
 // and runs each unit on its own Boards source, under pprof labels naming
-// its scenario and shard. Each scenario's parts then merge in index
-// order, so the reports are byte-identical at every budget.
+// its scenario and shard. The units share one image store, so the run
+// builds each distinct image once. Each scenario's parts then merge in
+// index order, so the reports are byte-identical at every budget.
 //
 // An unknown cfg.Platform fails before any shard runs. Shard errors are
 // selected deterministically: the lowest-index real failure wins, and bare
@@ -194,6 +201,7 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	images := hll.NewImageStore()
 	t0 := time.Now()
 	pool := &workpool.Counters{}
 	errs := make([]error, len(units))
@@ -201,7 +209,7 @@ func Execute(ctx context.Context, scens []Scenario, cfg Config, budget int) (*Ex
 		u, s := units[i], scens[units[i].scen]
 		labels := pprof.Labels("scenario", s.ID, "shard", strconv.Itoa(u.shard))
 		pprof.Do(runCtx, labels, func(ctx context.Context) {
-			parts[u.scen][u.shard], errs[i] = runShard(ctx, s, &Boards{Cfg: cfg, Profile: prof}, u.shard)
+			parts[u.scen][u.shard], errs[i] = runShard(ctx, s, &Boards{Cfg: cfg, Profile: prof, images: images}, u.shard)
 		})
 		if errs[i] != nil {
 			cancel()

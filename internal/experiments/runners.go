@@ -11,6 +11,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/srampdr"
+	"repro/internal/workload"
 )
 
 // TableI (E1): throughput vs frequency when over-clocking.
@@ -165,7 +166,7 @@ func SecVI(env *Env) (*Report, error) {
 		{"raw", false},
 		{"compress", true},
 	} {
-		bs, err := buildFor(p, p.RPs[1], "sec6-"+variant.name, 21)
+		bs, err := workload.ASP{Name: "sec6-" + variant.name, FillFraction: 0.55, Seed: 21}.Bitstream(p.Device, p.RPs[1])
 		if err != nil {
 			return nil, err
 		}

@@ -104,6 +104,7 @@ func servePoint(src *Boards, board string, tr workload.Trace, scfg hll.ServiceCo
 	if _, err := env.Controller.SetFrequencyMHz(serveFreqMHz); err != nil {
 		return hll.ServiceStats{}, err
 	}
+	scfg.Images = src.images
 	svc, err := hll.NewService(env.Controller, scfg)
 	if err != nil {
 		return hll.ServiceStats{}, err

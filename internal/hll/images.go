@@ -10,13 +10,17 @@ import (
 
 // ImageStore builds each partial-bitstream image once and hands the same
 // immutable *bitstream.Bitstream to every caller asking for the same
-// content. It is a host-side saving only: the simulated DRAM cache
-// (sched.Cache) in front of it keeps its own hits, misses, evictions and
-// staging time, so a board still pays simulated staging on every miss.
+// content; it is the one image cache of the simulator. It is a host-side
+// saving only: the simulated DRAM cache (sched.Cache) in front of it keeps
+// its own hits, misses, evictions and staging time, so a board still pays
+// simulated staging on every miss.
 //
-// A store is owned by one scope — a fleet shares one across its boards, a
-// standalone service makes its own — and is dropped with it. It is safe
-// for concurrent use by the boards of a parallel fleet.
+// A store is owned by one scope and is dropped with it: a campaign run
+// (every unit of one experiments.Execute), a fleet, a pdr.System, or a
+// standalone service or framework. None is process-wide, so an image lives
+// only as long as the scope that asked for it. A store is safe for
+// concurrent use by the shards of a campaign and the boards of a parallel
+// fleet.
 type ImageStore struct {
 	mu     sync.Mutex
 	images map[imageKey]*storedImage

@@ -26,7 +26,7 @@ func TestImageStoreMatchesFreshBuilds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got.Raw, want.Raw) || got.ConfigCRC != want.ConfigCRC || got.FrameCRC() != want.FrameCRC() {
+				if !bytes.Equal(got.Encode(), want.Encode()) || got.ConfigCRC != want.ConfigCRC || got.FrameCRC() != want.FrameCRC() {
 					t.Errorf("%s %s@%s: stored image differs from a fresh build", prof.Name, asp.Name, rp.Name)
 				}
 				// A second device of the same part asks for the same content.

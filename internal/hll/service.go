@@ -54,10 +54,12 @@ type ServiceConfig struct {
 	// draws from (0 keeps a fixed default stream). A fleet derives it per
 	// board and overrides any value set here.
 	UpsetSeed uint64
-	// Images is the image store cache misses build from, shared with the
-	// other services of a fleet; nil gives the service its own. It saves
-	// host work only: simulated staging and cache behaviour do not depend
-	// on it. A fleet sets its own store and overrides any value set here.
+	// Images is the image store cache misses and scrub repairs take their
+	// images from, shared with whatever else runs in the same scope: a
+	// campaign run, a fleet or a pdr.System. nil gives the service its
+	// own. It saves host work only: simulated staging and cache behaviour
+	// do not depend on it. A fleet fills it in when the template leaves it
+	// nil.
 	Images *ImageStore
 }
 
@@ -626,12 +628,16 @@ func (s *Service) repair(st *rpState, asp workload.ASP) error {
 		if bu := p.ICAP.BusyUntil(); bu > k.Now() {
 			k.RunUntil(bu)
 		}
-		golden := asp.Frames(p.Device, st.region)
+		// The golden frames are the resident image's own.
+		img, err := s.eng.images.Image(p.Device, asp, st.region)
+		if err != nil {
+			return err
+		}
+		golden := img.Frames
 		var (
 			rep  scrub.Report
 			rerr error
 			fin  bool
-			err  error
 		)
 		sc := scrub.New(k, p.ICAP)
 		deliver := func(r scrub.Report, err error) {

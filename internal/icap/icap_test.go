@@ -55,7 +55,7 @@ func makeFrames(n int, seed uint64) [][]uint32 {
 	return frames
 }
 
-func buildFor(t *testing.T, r *rig, rpIdx int, seed uint64) *bitstream.Bitstream {
+func buildImage(t *testing.T, r *rig, rpIdx int, seed uint64) *bitstream.Bitstream {
 	t.Helper()
 	rp := platform.Default().RPs(r.dev)[rpIdx]
 	bs, err := bitstream.Build(r.dev, rp, "test-asp", makeFrames(r.dev.RegionFrames(rp), seed))
@@ -88,7 +88,7 @@ func feedAll(r *rig, bs *bitstream.Bitstream) {
 
 func TestLoadWritesAllFramesAndRaisesDone(t *testing.T) {
 	r := newRig(t, 100*sim.MHz)
-	bs := buildFor(t, r, 0, 7)
+	bs := buildImage(t, r, 0, 7)
 	var done *Status
 	r.port.OnDone = func(s Status) { done = &s }
 	r.port.Reset()
@@ -114,7 +114,7 @@ func TestLoadWritesAllFramesAndRaisesDone(t *testing.T) {
 
 func TestLoadTimingIsOneWordPerCycle(t *testing.T) {
 	r := newRig(t, 100*sim.MHz)
-	bs := buildFor(t, r, 0, 8)
+	bs := buildImage(t, r, 0, 8)
 	r.port.Reset()
 	start := r.kernel.Now()
 	feedAll(r, bs)
@@ -129,14 +129,14 @@ func TestLoadTimingIsOneWordPerCycle(t *testing.T) {
 
 func TestLoadFasterClockIsProportionallyFaster(t *testing.T) {
 	r1 := newRig(t, 100*sim.MHz)
-	bs1 := buildFor(t, r1, 0, 9)
+	bs1 := buildImage(t, r1, 0, 9)
 	r1.port.Reset()
 	t0 := r1.kernel.Now()
 	feedAll(r1, bs1)
 	d100 := r1.kernel.Now().Sub(t0)
 
 	r2 := newRig(t, 200*sim.MHz)
-	bs2 := buildFor(t, r2, 0, 9)
+	bs2 := buildImage(t, r2, 0, 9)
 	r2.port.Reset()
 	t0 = r2.kernel.Now()
 	feedAll(r2, bs2)
@@ -151,7 +151,7 @@ func TestLoadFasterClockIsProportionallyFaster(t *testing.T) {
 func TestHangSuppressesDoneButDataLands(t *testing.T) {
 	// 310 MHz @ 40 °C: Table I's "N/A no interrupt … valid" row.
 	r := newRig(t, 310*sim.MHz)
-	bs := buildFor(t, r, 0, 10)
+	bs := buildImage(t, r, 0, 10)
 	fired := false
 	r.port.OnDone = func(Status) { fired = true }
 	r.port.Reset()
@@ -176,7 +176,7 @@ func TestCorruptionAt320MHz(t *testing.T) {
 	// 320 MHz @ 40 °C: data path violates timing; memory content must
 	// differ from the payload and the embedded CRC check must fail.
 	r := newRig(t, 320*sim.MHz)
-	bs := buildFor(t, r, 0, 11)
+	bs := buildImage(t, r, 0, 11)
 	r.port.Reset()
 	feedAll(r, bs)
 	rp := platform.Default().RPs(r.dev)[0]
@@ -196,7 +196,7 @@ func TestCorruptionAt310MHzAnd100C(t *testing.T) {
 	// The single failing temperature-stress cell.
 	r := newRig(t, 310*sim.MHz)
 	r.tempC = 100
-	bs := buildFor(t, r, 0, 12)
+	bs := buildImage(t, r, 0, 12)
 	r.port.Reset()
 	feedAll(r, bs)
 	rp := platform.Default().RPs(r.dev)[0]
@@ -211,7 +211,7 @@ func TestCorruptionAt310MHzAnd100C(t *testing.T) {
 
 func TestWrongIDCODERejected(t *testing.T) {
 	r := newRig(t, 100*sim.MHz)
-	bs := buildFor(t, r, 0, 13)
+	bs := buildImage(t, r, 0, 13)
 	// Words() returns the bitstream's cached image; copy before patching.
 	words := append([]uint32(nil), bs.Words()...)
 	// Patch the IDCODE value (word after the IDCODE type-1 header).
@@ -265,7 +265,7 @@ func TestFDRIWithoutWCFGIsError(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	r := newRig(t, 100*sim.MHz)
-	bs := buildFor(t, r, 0, 14)
+	bs := buildImage(t, r, 0, 14)
 	r.port.Reset()
 	feedAll(r, bs)
 	if r.port.WordsIn() == 0 {
@@ -279,8 +279,8 @@ func TestResetClearsState(t *testing.T) {
 
 func TestBackToBackLoadsDifferentRPs(t *testing.T) {
 	r := newRig(t, 200*sim.MHz)
-	bs1 := buildFor(t, r, 0, 15)
-	bs2 := buildFor(t, r, 1, 16)
+	bs1 := buildImage(t, r, 0, 15)
+	bs2 := buildImage(t, r, 1, 16)
 	r.port.Reset()
 	feedAll(r, bs1)
 	r.port.Reset()
@@ -295,7 +295,7 @@ func TestBackToBackLoadsDifferentRPs(t *testing.T) {
 
 func TestReadbackReturnsWrittenFrames(t *testing.T) {
 	r := newRig(t, 100*sim.MHz)
-	bs := buildFor(t, r, 0, 17)
+	bs := buildImage(t, r, 0, 17)
 	r.port.Reset()
 	feedAll(r, bs)
 	rp := platform.Default().RPs(r.dev)[0]
@@ -348,7 +348,7 @@ func TestDeterministicCorruptionPattern(t *testing.T) {
 	// Same seed ⇒ same corruption ⇒ same final memory state.
 	run := func() uint32 {
 		r := newRig(t, 360*sim.MHz)
-		bs := buildFor(t, r, 0, 18)
+		bs := buildImage(t, r, 0, 18)
 		r.port.Reset()
 		feedAll(r, bs)
 		rp := platform.Default().RPs(r.dev)[0]
@@ -376,7 +376,7 @@ func TestRoundTripProperty(t *testing.T) {
 		temp := 40 + float64(tRaw%7)*10      // 40..100
 		r := newRig(t, sim.Hz(freqMHz*1e6))
 		r.tempC = temp
-		bs := buildFor(t, r, int(seed%4), seed)
+		bs := buildImage(t, r, int(seed%4), seed)
 		r.port.Reset()
 		feedAll(r, bs)
 		st := r.port.Status()
@@ -397,7 +397,7 @@ func TestBurstSizeInvariance(t *testing.T) {
 	// bursts: 7-word and 256-word deliveries must produce identical memory.
 	run := func(burst int) uint32 {
 		r := newRig(t, 200*sim.MHz)
-		bs := buildFor(t, r, 0, 77)
+		bs := buildImage(t, r, 0, 77)
 		r.port.Reset()
 		words := bs.Words()
 		var pump func()

@@ -153,7 +153,7 @@ func (s *System) Stats() (preloads, reconfigs int) { return s.preloads, s.reconf
 // Only the configuration payload is stored — the file header is metadata
 // the scheduler keeps in DRAM.
 func (s *System) Register(bs *bitstream.Bitstream, compressed bool) error {
-	raw := bs.Raw[bitstream.HeaderBytes:]
+	raw := bs.Encode()[bitstream.HeaderBytes:]
 	if compressed {
 		c, err := bitstream.Compress(raw)
 		if err != nil {

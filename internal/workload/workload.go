@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitstream"
@@ -33,23 +34,24 @@ type ASP struct {
 	Seed uint64
 }
 
-// Library returns the standard ASP set used by the examples and benchmarks:
-// the kinds of accelerators the paper's introduction names (crypto, DSP,
-// web/serving helpers).
-func Library() []ASP {
-	return []ASP{
-		{Name: "fir128", FillFraction: 0.55, ComputeTime: 240 * sim.Microsecond, ClockMHz: 150, MemBandwidthMBs: 120, Seed: 101},
-		{Name: "fft1k", FillFraction: 0.70, ComputeTime: 410 * sim.Microsecond, ClockMHz: 125, MemBandwidthMBs: 200, Seed: 102},
-		{Name: "aes-gcm", FillFraction: 0.62, ComputeTime: 180 * sim.Microsecond, ClockMHz: 200, MemBandwidthMBs: 400, Seed: 103},
-		{Name: "sha3", FillFraction: 0.48, ComputeTime: 150 * sim.Microsecond, ClockMHz: 180, MemBandwidthMBs: 90, Seed: 104},
-		{Name: "matmul8", FillFraction: 0.80, ComputeTime: 900 * sim.Microsecond, ClockMHz: 100, MemBandwidthMBs: 250, Seed: 105},
-		{Name: "decimal-fpu", FillFraction: 0.66, ComputeTime: 300 * sim.Microsecond, ClockMHz: 140, MemBandwidthMBs: 60, Seed: 106},
-	}
+// library is the standard ASP set: the kinds of accelerators the paper's
+// introduction names (crypto, DSP, web/serving helpers).
+var library = []ASP{
+	{Name: "fir128", FillFraction: 0.55, ComputeTime: 240 * sim.Microsecond, ClockMHz: 150, MemBandwidthMBs: 120, Seed: 101},
+	{Name: "fft1k", FillFraction: 0.70, ComputeTime: 410 * sim.Microsecond, ClockMHz: 125, MemBandwidthMBs: 200, Seed: 102},
+	{Name: "aes-gcm", FillFraction: 0.62, ComputeTime: 180 * sim.Microsecond, ClockMHz: 200, MemBandwidthMBs: 400, Seed: 103},
+	{Name: "sha3", FillFraction: 0.48, ComputeTime: 150 * sim.Microsecond, ClockMHz: 180, MemBandwidthMBs: 90, Seed: 104},
+	{Name: "matmul8", FillFraction: 0.80, ComputeTime: 900 * sim.Microsecond, ClockMHz: 100, MemBandwidthMBs: 250, Seed: 105},
+	{Name: "decimal-fpu", FillFraction: 0.66, ComputeTime: 300 * sim.Microsecond, ClockMHz: 140, MemBandwidthMBs: 60, Seed: 106},
 }
+
+// Library returns the standard ASP set used by the examples and benchmarks
+// (a fresh copy the caller may modify).
+func Library() []ASP { return slices.Clone(library) }
 
 // LibraryASP looks an ASP up by name.
 func LibraryASP(name string) (ASP, error) {
-	for _, a := range Library() {
+	for _, a := range library {
 		if a.Name == name {
 			return a, nil
 		}
@@ -60,13 +62,15 @@ func LibraryASP(name string) (ASP, error) {
 // Frames generates the ASP's configuration frames for a region: a used
 // prefix of each frame proportional to FillFraction, clustered zeros
 // elsewhere, and a fraction of fully unused frames — the structure real
-// partial bitstreams have (and what makes them compressible).
+// partial bitstreams have (and what makes them compressible). The frames
+// are consecutive views of one backing array.
 func (a ASP) Frames(dev *fabric.Device, rp fabric.Region) [][]uint32 {
 	rng := sim.NewRNG(a.Seed ^ uint64(rp.Row)<<32 ^ uint64(rp.ColStart))
 	n := dev.RegionFrames(rp)
 	frames := make([][]uint32, n)
+	words := make([]uint32, n*fabric.FrameWords)
 	for i := range frames {
-		f := make([]uint32, fabric.FrameWords)
+		f := words[i*fabric.FrameWords : (i+1)*fabric.FrameWords : (i+1)*fabric.FrameWords]
 		if rng.Float64() < a.FillFraction {
 			used := int(a.FillFraction * fabric.FrameWords)
 			if used < 1 {

@@ -96,11 +96,12 @@ func TestFillFractionDrivesCompressibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := bitstream.Compress(bs.Raw)
+		raw := bs.Encode()
+		comp, err := bitstream.Compress(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bitstream.CompressionRatio(bs.Raw, comp)
+		return bitstream.CompressionRatio(raw, comp)
 	}
 	rs, rd := ratio(sparse), ratio(dense)
 	if rs <= rd {

@@ -78,7 +78,7 @@ type FleetOptions struct {
 	Router string
 	// Service is every board's service configuration, resolved against
 	// each board's own profile (see ServiceConfig). The fleet sets
-	// UpsetSeed and Images per board.
+	// UpsetSeed per board, and builds its images in a store of its own.
 	Service ServiceConfig
 	// Autoscale, when non-nil, starts each run at Min active boards and
 	// reacts to windowed shed-rate and p99 signals. Nil keeps the whole

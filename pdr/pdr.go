@@ -143,7 +143,7 @@ type System struct {
 	Controller *core.Controller
 
 	meter    *power.Meter
-	bsCache  map[string]*bitstream.Bitstream
+	images   *hll.ImageStore // every image this system builds or serves
 	sramInit bool
 	serves   int // Serve ordinal, keys ServeOptions.Tracer's fleets
 }
@@ -177,7 +177,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Board:      b,
 		Controller: core.New(p),
 		meter:      b.Meter,
-		bsCache:    make(map[string]*bitstream.Bitstream),
+		images:     hll.NewImageStore(),
 	}, nil
 }
 
@@ -187,12 +187,9 @@ func (s *System) Platform() *zynq.Platform { return s.Controller.Platform() }
 // ASPs lists the workload library.
 func (s *System) ASPs() []ASP { return workload.Library() }
 
-// BuildBitstream synthesises the ASP's partial bitstream for an RP.
+// BuildBitstream synthesises the ASP's partial bitstream for an RP, once
+// per system: later calls, loads and Serve's services share the image.
 func (s *System) BuildBitstream(rp, asp string) (*Bitstream, error) {
-	key := asp + "@" + rp
-	if bs, ok := s.bsCache[key]; ok {
-		return bs, nil
-	}
 	region, err := s.Platform().RP(rp)
 	if err != nil {
 		return nil, err
@@ -201,12 +198,7 @@ func (s *System) BuildBitstream(rp, asp string) (*Bitstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	bs, err := a.Bitstream(s.Platform().Device, region)
-	if err != nil {
-		return nil, err
-	}
-	s.bsCache[key] = bs
-	return bs, nil
+	return s.images.Image(s.Platform().Device, a, region)
 }
 
 // SetFrequencyMHz re-programs the over-clock domain (costs the MMCM lock
@@ -373,8 +365,12 @@ type ServeOptions struct {
 // service: per-RP queues with admission control, the chosen dispatch
 // policy arbitrating the single ICAP, and a DRAM bitstream cache staged
 // from the board's SD card at the profile rate. Each call serves on a
-// fresh service (empty queues, cold or prewarmed cache).
+// fresh service (empty queues, cold or prewarmed cache); its images come
+// from the system's own store, built once per system.
 func (s *System) Serve(tr Trace, o ServeOptions) (ServiceStats, error) {
+	if o.Service.Images == nil {
+		o.Service.Images = s.images
+	}
 	svc, err := hll.NewService(s.Controller, o.Service)
 	if err != nil {
 		return ServiceStats{}, fmt.Errorf("pdr: %w", err)
