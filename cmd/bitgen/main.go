@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -137,13 +138,4 @@ func doInspect(path string) error {
 	return nil
 }
 
-func aspNames() string {
-	out := ""
-	for i, a := range workload.Library() {
-		if i > 0 {
-			out += ", "
-		}
-		out += a.Name
-	}
-	return out
-}
+func aspNames() string { return strings.Join(workload.LibraryNames(), ", ") }

@@ -12,7 +12,7 @@ import (
 
 func newBoard(t *testing.T) *Board {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 1, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,9 +267,9 @@ func TestFleetChaosConfigErrors(t *testing.T) {
 	}
 	if _, err := New(FleetConfig{
 		Boards: zedboards(2),
-		Chaos:  &ChaosConfig{HealthTimeout: -sim.Millisecond},
+		Chaos:  &ChaosConfig{ProbeEvery: -sim.Millisecond},
 	}); err == nil {
-		t.Error("negative health timeout must fail")
+		t.Error("negative probe interval must fail")
 	}
 }
 

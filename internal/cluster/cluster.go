@@ -25,6 +25,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/hll"
@@ -41,6 +42,28 @@ type BoardSpec struct {
 	// Platform is the registered platform profile the board simulates
 	// ("" = the default zedboard).
 	Platform string
+}
+
+// BoardsLabel renders a fleet composition compactly: "4× zedboard" when
+// every board is the same platform, else the platforms in board order
+// ("zedboard,zybo-z7-10,zc706,zedboard"). Reports and plan candidates use
+// it alike.
+func BoardsLabel(specs []BoardSpec) string {
+	uniform := true
+	for _, s := range specs[1:] {
+		if s.Platform != specs[0].Platform {
+			uniform = false
+			break
+		}
+	}
+	if uniform {
+		return fmt.Sprintf("%d× %s", len(specs), specs[0].Platform)
+	}
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Platform
+	}
+	return strings.Join(names, ",")
 }
 
 // ServiceTemplate is the per-board service configuration every fleet board
@@ -215,11 +238,7 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown platform %q (registered: %s)", spec.Platform, platform.NameList())
 	}
-	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        deriveSeed(cfg.Seed, index),
-		Profile:     prof,
-		FastThermal: true,
-	})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: deriveSeed(cfg.Seed, index), Profile: prof})
 	if err != nil {
 		return nil, err
 	}
@@ -323,12 +342,7 @@ func (f *Fleet) Serve(tr workload.Trace) (*FleetStats, error) {
 	if f.served {
 		return nil, fmt.Errorf("cluster: fleet already served a stream (build a fresh fleet per run)")
 	}
-	asps := workload.Library()
-	names := make([]string, len(asps))
-	for i, a := range asps {
-		names[i] = a.Name
-	}
-	if err := tr.Validate(f.common, names); err != nil {
+	if err := tr.Validate(f.common, workload.LibraryNames()); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	f.served = true

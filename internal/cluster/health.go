@@ -18,32 +18,32 @@ type ChaosConfig struct {
 	// Schedule is the fault storm, time-ordered (chaos.Config.Schedule
 	// emits it sorted; hand-built schedules must be sorted too).
 	Schedule []chaos.Event
-	// HealthTimeout ejects a board whose outstanding work has made no
-	// progress for this long (missed-completion signal; 0 = 50 ms — above
-	// a cold-cache staging pause, below a whole outage).
-	HealthTimeout sim.Duration
 	// ProbeEvery is the health-probe cadence on the arrival timeline:
 	// probes detect recovered boards and crashed boards nobody routed to
 	// (0 = 20 ms).
 	ProbeEvery sim.Duration
-	// DegradedFor is the outlier-ejection window after a CRC-verdict
-	// signal: the board is routed around while it repairs (0 = 25 ms).
-	DegradedFor sim.Duration
-	// ThrottleC is the die temperature at which a board derates its
-	// over-clock to nominal and is ejected as thermally degraded until the
-	// die cools (0 = 70 °C, the excursion regime the `-hot` presets model).
-	ThrottleC float64
-	// MaxRetries bounds connection-refused failover attempts per arrival
-	// (0 = one less than the fleet size: try every other board once).
-	MaxRetries int
 	// Hedge duplicates deadline-bearing requests onto a second eligible
 	// board after the primary admit — tail insurance that burns capacity.
 	Hedge bool
 }
 
-// throttleHystC is the cool-down hysteresis below ThrottleC before a
-// throttled board restores its over-clock.
-const throttleHystC = 5.0
+// The health layer's fixed thresholds.
+const (
+	// healthTimeout ejects a board whose outstanding work has made no
+	// progress for this long (missed-completion signal: above a cold-cache
+	// staging pause, below a whole outage).
+	healthTimeout = 50 * sim.Millisecond
+	// degradedFor is the outlier-ejection window after a CRC-verdict
+	// signal: the board is routed around while it repairs.
+	degradedFor = 25 * sim.Millisecond
+	// throttleC is the die temperature at which a board derates its
+	// over-clock to nominal and is ejected as thermally degraded until the
+	// die cools (the excursion regime the `-hot` presets model).
+	throttleC = 70.0
+	// throttleHystC is the cool-down hysteresis below throttleC before a
+	// throttled board restores its over-clock.
+	throttleHystC = 5.0
+)
 
 // Validate checks the schedule against the fleet shape.
 func (c *ChaosConfig) Validate(boards int) error {
@@ -55,17 +55,10 @@ func (c *ChaosConfig) Validate(boards int) error {
 			return fmt.Errorf("cluster: chaos schedule not time-ordered at event %d", i)
 		}
 	}
-	if c.HealthTimeout < 0 || c.ProbeEvery < 0 || c.DegradedFor < 0 || c.MaxRetries < 0 {
-		return fmt.Errorf("cluster: chaos health parameters must be non-negative")
+	if c.ProbeEvery < 0 {
+		return fmt.Errorf("cluster: chaos probe interval must be non-negative")
 	}
 	return nil
-}
-
-func (c *ChaosConfig) healthTimeout() sim.Duration {
-	if c.HealthTimeout > 0 {
-		return c.HealthTimeout
-	}
-	return 50 * sim.Millisecond
 }
 
 func (c *ChaosConfig) probeEvery() sim.Duration {
@@ -73,27 +66,6 @@ func (c *ChaosConfig) probeEvery() sim.Duration {
 		return c.ProbeEvery
 	}
 	return 20 * sim.Millisecond
-}
-
-func (c *ChaosConfig) degradedFor() sim.Duration {
-	if c.DegradedFor > 0 {
-		return c.DegradedFor
-	}
-	return 25 * sim.Millisecond
-}
-
-func (c *ChaosConfig) throttleC() float64 {
-	if c.ThrottleC > 0 {
-		return c.ThrottleC
-	}
-	return 70
-}
-
-func (c *ChaosConfig) maxRetries(boards int) int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return boards - 1
 }
 
 // health is the fleet's per-board health state. Down means "refuses
@@ -131,7 +103,7 @@ func (h *health) degraded(i int, now sim.Duration, outstanding int) bool {
 	if h.throttled[i] || h.degradedUntil[i] > now {
 		return true
 	}
-	return outstanding > 0 && now-h.lastProgress[i] > h.cfg.healthTimeout()
+	return outstanding > 0 && now-h.lastProgress[i] > healthTimeout
 }
 
 // downCount is the autoscaler's dead-capacity signal.
@@ -180,7 +152,7 @@ func (f *Fleet) applyChaos(now sim.Duration) error {
 			if raised {
 				// Envoy-style outlier ejection on the CRC verdict: route
 				// around the board while it repairs.
-				until := ev.At + h.cfg.degradedFor()
+				until := ev.At + degradedFor
 				if until > h.degradedUntil[ev.Board] {
 					h.degradedUntil[ev.Board] = until
 				}
@@ -205,7 +177,7 @@ func (f *Fleet) updateHealth(now sim.Duration) error {
 		}
 		t := b.plat.Die.TempC()
 		switch {
-		case !h.throttled[i] && t >= h.cfg.throttleC():
+		case !h.throttled[i] && t >= throttleC:
 			h.throttled[i] = true
 			// Protect the configuration path: derate the over-clock to the
 			// platform nominal until the die cools (at 200 MHz no physical
@@ -217,7 +189,7 @@ func (f *Fleet) updateHealth(now sim.Duration) error {
 			if f.obs != nil {
 				f.obs.throttle(now, i, true, t)
 			}
-		case h.throttled[i] && t < h.cfg.throttleC()-throttleHystC:
+		case h.throttled[i] && t < throttleC-throttleHystC:
 			h.throttled[i] = false
 			if err := f.setBoardFreq(b, f.cfg.FreqMHz); err != nil {
 				return fmt.Errorf("cluster: board %d unthrottle: %w", i, err)
@@ -275,7 +247,7 @@ func (f *Fleet) route(views []BoardView, req workload.Request, stats *FleetStats
 			// detector. Mark the board down and fail over.
 			f.health.down[pick] = true
 			views[pick].Down = true
-			if retries < f.cfg.Chaos.maxRetries(len(f.boards)) {
+			if retries < len(f.boards)-1 { // fail over to every other board once
 				retries++
 				stats.FailedOver++
 				if f.obs != nil {

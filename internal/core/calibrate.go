@@ -27,14 +27,9 @@ type Calibrator struct {
 }
 
 // Sweep measures every requested frequency in order at the current die
-// temperature.
-func (cal *Calibrator) Sweep(freqsMHz []float64) ([]SweepPoint, error) {
-	return cal.SweepContext(context.Background(), freqsMHz)
-}
-
-// SweepContext is Sweep with cancellation between points: a campaign worker
-// can abandon a sweep mid-grid without waiting for the remaining loads.
-func (cal *Calibrator) SweepContext(ctx context.Context, freqsMHz []float64) ([]SweepPoint, error) {
+// temperature. It checks ctx between points, so a campaign worker can
+// abandon a sweep mid-grid without waiting for the remaining loads.
+func (cal *Calibrator) Sweep(ctx context.Context, freqsMHz []float64) ([]SweepPoint, error) {
 	rp := cal.RP
 	if rp == "" {
 		rp = "RP1"
@@ -69,13 +64,8 @@ type StressCell struct {
 
 // StressMatrix re-runs the sweep at each die temperature, reproducing the
 // heat-gun experiment: the gun servos the die to each target before the
-// transfers run.
-func (cal *Calibrator) StressMatrix(freqsMHz, tempsC []float64) ([]StressCell, error) {
-	return cal.StressMatrixContext(context.Background(), freqsMHz, tempsC)
-}
-
-// StressMatrixContext is StressMatrix with cancellation between cells.
-func (cal *Calibrator) StressMatrixContext(ctx context.Context, freqsMHz, tempsC []float64) ([]StressCell, error) {
+// transfers run. It checks ctx between cells.
+func (cal *Calibrator) StressMatrix(ctx context.Context, freqsMHz, tempsC []float64) ([]StressCell, error) {
 	rp := cal.RP
 	if rp == "" {
 		rp = "RP1"
@@ -130,13 +120,9 @@ type PowerProfiler struct {
 	Bitstream *bitstream.Bitstream
 }
 
-// Grid measures P_PDR over the frequency × temperature grid.
-func (pp *PowerProfiler) Grid(freqsMHz, tempsC []float64) ([]PowerPoint, error) {
-	return pp.grid(context.Background(), freqsMHz, tempsC, true)
-}
-
-// GridContext is Grid with cancellation between cells.
-func (pp *PowerProfiler) GridContext(ctx context.Context, freqsMHz, tempsC []float64) ([]PowerPoint, error) {
+// Grid measures P_PDR over the frequency × temperature grid, checking ctx
+// between cells.
+func (pp *PowerProfiler) Grid(ctx context.Context, freqsMHz, tempsC []float64) ([]PowerPoint, error) {
 	return pp.grid(ctx, freqsMHz, tempsC, true)
 }
 

@@ -58,18 +58,18 @@ type Result struct {
 type Controller struct {
 	p *zynq.Platform
 
-	// LoadTimeoutFactor scales the IRQ wait relative to the expected
-	// transfer time; the paper's operators concluded "no interrupt" after a
-	// similar grace period.
-	LoadTimeoutFactor float64
-
 	loads uint64
 }
+
+// loadTimeoutFactor scales the IRQ wait relative to the expected transfer
+// time; the paper's operators concluded "no interrupt" after a similar
+// grace period.
+const loadTimeoutFactor = 4
 
 // New creates a controller. The platform's static design must be configured
 // (Board.Boot or Platform.ConfigureStatic) before loads are issued.
 func New(p *zynq.Platform) *Controller {
-	return &Controller{p: p, LoadTimeoutFactor: 4}
+	return &Controller{p: p}
 }
 
 // Platform returns the underlying platform.
@@ -149,7 +149,7 @@ func (c *Controller) Load(rpName string, bs *bitstream.Bitstream) (Result, error
 
 	// Wait for the interrupt, with the operator's timeout.
 	expected := sim.FromSeconds(float64(len(words)) / (4e6 * res.FreqMHz))
-	timeout := sim.Duration(float64(expected)*c.LoadTimeoutFactor) + sim.Millisecond
+	timeout := sim.Duration(float64(expected)*loadTimeoutFactor) + sim.Millisecond
 	if c.stepUntil(func() bool { return irqDone }, timeout) {
 		res.IRQReceived = true
 		res.LatencyUS = latency.Microseconds()

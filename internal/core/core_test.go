@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ var paperTableI = []struct {
 
 func newPlatform(t *testing.T) *zynq.Platform {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 42, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTableIFailureRows(t *testing.T) {
 }
 
 func TestLoadValidation(t *testing.T) {
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 3, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestCalibratorSweepShape(t *testing.T) {
 	p := newPlatform(t)
 	c := New(p)
 	cal := &Calibrator{C: c, Bitstream: standardBitstream(t, p, 4)}
-	points, err := cal.Sweep([]float64{100, 140, 180, 200, 240, 280})
+	points, err := cal.Sweep(context.Background(), []float64{100, 140, 180, 200, 240, 280})
 	if err != nil {
 		t.Fatal(err)
 	}

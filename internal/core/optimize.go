@@ -98,28 +98,22 @@ type Recovery struct {
 }
 
 // RobustGuard wraps Load with the recovery policy the CRC monitor enables:
-// if the transfer hangs or verifies invalid, fall back to a safe frequency
-// and reload. Without the CRC block (e.g. VF-2012) the failure would go
-// undetected.
+// if the transfer hangs or verifies invalid, fall back to the safe 100 MHz
+// nominal and reload, at most guardRetries times. Without the CRC block
+// (e.g. VF-2012) the failure would go undetected.
 type RobustGuard struct {
 	C *Controller
-	// SafeMHz is the fallback frequency (default: the 100 MHz nominal).
-	SafeMHz float64
-	// MaxRetries bounds recovery attempts (default 2).
-	MaxRetries int
 }
+
+// The guard's fallback frequency and recovery-attempt bound.
+const (
+	guardFallbackMHz = 100
+	guardRetries     = 2
+)
 
 // Load attempts the reconfiguration at the current frequency and recovers
 // on failure.
 func (g *RobustGuard) Load(rp string, bs *bitstream.Bitstream) (Recovery, error) {
-	safe := g.SafeMHz
-	if safe == 0 {
-		safe = 100
-	}
-	retries := g.MaxRetries
-	if retries == 0 {
-		retries = 2
-	}
 	start := g.C.p.Kernel.Now()
 	var rec Recovery
 	res, err := g.C.Load(rp, bs)
@@ -128,8 +122,8 @@ func (g *RobustGuard) Load(rp string, bs *bitstream.Bitstream) (Recovery, error)
 	}
 	rec.Attempts = append(rec.Attempts, res)
 	rec.FallbackMHz = res.FreqMHz
-	for attempt := 0; !ok(res) && attempt < retries; attempt++ {
-		if _, err := g.C.SetFrequencyMHz(safe); err != nil {
+	for attempt := 0; !ok(res) && attempt < guardRetries; attempt++ {
+		if _, err := g.C.SetFrequencyMHz(guardFallbackMHz); err != nil {
 			return rec, err
 		}
 		res, err = g.C.Load(rp, bs)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestStressMatrixReproducesSecIVA(t *testing.T) {
 	cal := &Calibrator{C: c, Bitstream: standardBitstream(t, p, 11)}
 	freqs := []float64{100, 200, 280, 310}
 	temps := []float64{40, 60, 80, 90, 100}
-	cells, err := cal.StressMatrix(freqs, temps)
+	cells, err := cal.StressMatrix(context.Background(), freqs, temps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestPowerProfilerReproducesTableII(t *testing.T) {
 		Bitstream: standardBitstream(t, p, 12),
 	}
 	freqs := []float64{100, 140, 180, 200, 240, 280}
-	points, err := pp.Grid(freqs, []float64{40})
+	points, err := pp.Grid(context.Background(), freqs, []float64{40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFig6PowerFamilyShape(t *testing.T) {
 	}
 	freqs := []float64{100, 280}
 	temps := []float64{40, 60, 80, 100}
-	points, err := pp.Grid(freqs, temps)
+	points, err := pp.Grid(context.Background(), freqs, temps)
 	if err != nil {
 		t.Fatal(err)
 	}

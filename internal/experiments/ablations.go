@@ -84,7 +84,7 @@ func AblationKnee(ctx context.Context, src *Boards, _ int) (*Report, error) {
 			return nil, err
 		}
 		params := v.params
-		p, err := src.boot(zynq.Options{Seed: 42, Profile: src.Profile, FastThermal: true, DRAMParams: &params})
+		p, err := src.boot(zynq.Options{Seed: 42, Profile: src.Profile, DRAMParams: &params})
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hll"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/workpool"
 )
 
 // runOne executes one scenario through Execute at the given goroutine
@@ -219,6 +220,38 @@ func TestExecuteSharesOneImageStore(t *testing.T) {
 		if second[0] == first[0] {
 			t.Errorf("budget %d: a second Execute reused the first run's image", budget)
 		}
+	}
+}
+
+// TestPoissonShardsShareRunImageStore: E9's shards, run on four workers
+// over one campaign store, build every image their frameworks load into
+// that store and nowhere else — the store ends up holding exactly the
+// standard image plus one image per (RP, ASP) pair of the trace.
+func TestPoissonShardsShareRunImageStore(t *testing.T) {
+	store := hll.NewImageStore()
+	cfg := Config{Seed: 42}
+	srcs := make([]*Boards, poissonSegments)
+	for i := range srcs {
+		srcs[i] = newBoards(t, cfg)
+		srcs[i].images = store
+	}
+	errs := make([]error, len(srcs))
+	workpool.Run(len(srcs), 4, func(i int) { _, errs[i] = poissonShard(context.Background(), srcs[i], i) })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	tr, err := poissonTrace(srcs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"RP1/fir128": true} // the Env's standard image
+	for _, req := range tr {
+		want[req.RP+"/"+req.ASP] = true
+	}
+	if got := store.Len(); got != len(want) {
+		t.Errorf("run store holds %d images, want %d (the standard image and every traced RP/ASP pair)", got, len(want))
 	}
 }
 

@@ -200,15 +200,11 @@ type Config struct {
 	// Seed drives every stochastic model.
 	Seed uint64
 	// Platform names the registered platform profile the campaign's boards
-	// are built as ("" ⇒ the default zedboard). See internal/platform.
+	// are built as ("" ⇒ the default zedboard), environment included: the
+	// boot ambient, nominal clock and thermal constant are the profile's
+	// (zedboard-hot and zedboard-slow-thermal are the presets). See
+	// internal/platform.
 	Platform string
-	// AmbientC is the room temperature (0 ⇒ the profile's boot ambient).
-	AmbientC float64
-	// SlowThermal selects the physical 2 s thermal time constant instead
-	// of the fast test-friendly one.
-	SlowThermal bool
-	// NominalMHz overrides the initial over-clock frequency (0 ⇒ 100).
-	NominalMHz float64
 	// The scenario parameters: one field per row of the parameter table,
 	// which documents each key, reader, rule and default (see Params).
 	// A zero value keeps the scenario's default.
@@ -278,13 +274,7 @@ func bootEnv(cfg Config, images *hll.ImageStore) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        cfg.Seed,
-		Profile:     prof,
-		AmbientC:    cfg.AmbientC,
-		NominalMHz:  cfg.NominalMHz,
-		FastThermal: !cfg.SlowThermal,
-	})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: cfg.Seed, Profile: prof})
 	if err != nil {
 		return nil, err
 	}

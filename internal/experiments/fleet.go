@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -189,26 +188,6 @@ func scaleRow(label, boards, router string, st *cluster.FleetStats) []string {
 	}
 }
 
-// boardsLabel renders a fleet build compactly ("4× zedboard" or
-// "zedboard,zybo-z7-10,zc706,zedboard").
-func boardsLabel(specs []cluster.BoardSpec) string {
-	uniform := true
-	for _, s := range specs[1:] {
-		if s.Platform != specs[0].Platform {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		return fmt.Sprintf("%d× %s", len(specs), specs[0].Platform)
-	}
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Platform
-	}
-	return strings.Join(names, ",")
-}
-
 func scaleShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	points := fleetPoints(src.Cfg)
 	comps := fleetCompositions()
@@ -244,7 +223,7 @@ func scaleShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{ID: "E13", Title: scaleTitle, SimEvents: st.KernelEvents}
-	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp, size)), fleetRouterName(src.Cfg), st))
+	rep.Rows = append(rep.Rows, scaleRow(label, cluster.BoardsLabel(fleetBoards(comp, size)), fleetRouterName(src.Cfg), st))
 	if !auto {
 		good := sim.Series{Name: "e13_" + comp.name + "_goodput", XLabel: "fleet_size", YLabel: "goodput_req_per_s"}
 		p99 := sim.Series{Name: "e13_" + comp.name + "_p99", XLabel: "fleet_size", YLabel: "p99_sojourn_us"}

@@ -44,12 +44,20 @@ const (
 	pmCount
 )
 
+// poissonTrace is E9's whole request stream, a pure function of the seed.
+func poissonTrace(src *Boards) (workload.Trace, error) {
+	return workload.ArrivalSpec{RatePerSec: 1e6 / poissonMeanGapUS}.Generate(
+		src.Cfg.Seed^0x9E37, poissonRequests, src.Profile.RPNames(), poissonASPs)
+}
+
 func poissonShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr := workload.PoissonTrace(src.Cfg.Seed^0x9E37, poissonRequests,
-		sim.FromMicroseconds(poissonMeanGapUS), src.Profile.RPNames(), poissonASPs)
+	tr, err := poissonTrace(src)
+	if err != nil {
+		return nil, err
+	}
 	lo, hi := segBounds(len(tr), poissonSegments, shard)
 	seg := make(workload.Trace, hi-lo)
 	base := tr[lo].At
@@ -64,7 +72,7 @@ func poissonShard(ctx context.Context, src *Boards, shard int) (*Report, error) 
 	if _, err := env.Controller.SetFrequencyMHz(200); err != nil {
 		return nil, err
 	}
-	stats, err := hll.New(env.Controller).Run(seg)
+	stats, err := hll.New(env.Controller, src.images).Run(seg)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ type Scenario struct {
 // shard measures comes from here, so the executor counts the events of
 // each one; a shard that boots nothing costs no board. It also carries
 // the campaign run's image store, which its Envs use and which a shard
-// hands to the services and fleets it builds.
+// hands to the frameworks, services and fleets it builds.
 type Boards struct {
 	// Cfg is the campaign configuration (grids, seed, worker budget).
 	Cfg Config

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,7 +22,7 @@ func TableI(env *Env) (*Report, error) {
 	for _, row := range paperdata.TableI {
 		freqs = append(freqs, row.FreqMHz)
 	}
-	points, err := cal.Sweep(freqs)
+	points, err := cal.Sweep(context.Background(), freqs)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func TableII(env *Env) (*Report, error) {
 	meter := power.NewMeter(env.Platform.Kernel, env.Platform.Power, 100*sim.Microsecond)
 	pp := &core.PowerProfiler{C: env.Controller, Meter: meter, Bitstream: env.Bitstream}
 	freqs := []float64{100, 140, 180, 200, 240, 280}
-	points, err := pp.Grid(freqs, []float64{40})
+	points, err := pp.Grid(context.Background(), freqs, []float64{40})
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,7 @@ func fig5Shard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 		return nil, err
 	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
-	points, err := cal.SweepContext(ctx, freqs[lo:hi])
+	points, err := cal.Sweep(ctx, freqs[lo:hi])
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func stressShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 		return nil, err
 	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
-	cells, err := cal.StressMatrixContext(ctx, freqs, []float64{temp})
+	cells, err := cal.StressMatrix(ctx, freqs, []float64{temp})
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func fig6Shard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	}
 	meter := power.NewMeter(env.Platform.Kernel, env.Platform.Power, 100*sim.Microsecond)
 	pp := &core.PowerProfiler{C: env.Controller, Meter: meter, Bitstream: env.Bitstream}
-	points, err := pp.GridContext(ctx, freqs, []float64{temp})
+	points, err := pp.Grid(ctx, freqs, []float64{temp})
 	if err != nil {
 		return nil, err
 	}

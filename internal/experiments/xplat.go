@@ -39,7 +39,7 @@ func xplatShard(ctx context.Context, src *Boards, shard int) (*Report, error) {
 	}
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
 	freqs := xplatGrid(src.Cfg, prof)
-	points, err := cal.SweepContext(ctx, freqs)
+	points, err := cal.Sweep(ctx, freqs)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // and FCFS, and honours each override rule.
 func TestServiceConfigResolution(t *testing.T) {
 	for _, prof := range platform.All() {
-		p, err := zynq.NewPlatform(zynq.Options{Seed: 1, Profile: prof, FastThermal: true})
+		p, err := zynq.NewPlatform(zynq.Options{Seed: 1, Profile: prof})
 		if err != nil {
 			t.Fatal(err)
 		}

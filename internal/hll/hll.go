@@ -64,11 +64,13 @@ type Framework struct {
 	stats Stats
 }
 
-// New builds the framework on a platform-backed controller. The replayer
-// keeps the legacy build-once bitstream behaviour: an unlimited cache with
-// free staging, so its simulated timing is a pure function of the trace.
-func New(ctrl *core.Controller) *Framework {
-	return &Framework{eng: newEngine(ctrl, -1, 0, nil)}
+// New builds the framework on a platform-backed controller, taking its
+// images from the given store (nil gives the framework its own; like
+// ServiceConfig.Images it saves host work only). The replayer keeps the
+// legacy build-once bitstream behaviour: an unlimited cache with free
+// staging, so its simulated timing is a pure function of the trace.
+func New(ctrl *core.Controller, images *ImageStore) *Framework {
+	return &Framework{eng: newEngine(ctrl, -1, 0, images)}
 }
 
 // Resident returns the ASP currently configured in the RP ("" if none).

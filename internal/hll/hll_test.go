@@ -12,7 +12,7 @@ import (
 
 func newFramework(t *testing.T) (*Framework, *core.Controller) {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func newFramework(t *testing.T) (*Framework, *core.Controller) {
 	if _, err := c.SetFrequencyMHz(200); err != nil {
 		t.Fatal(err)
 	}
-	return New(c), c
+	return New(c, nil), c
 }
 
 func TestServeLoadsAndRuns(t *testing.T) {
@@ -78,7 +78,7 @@ func TestOverheadFractionDropsWithOverclock(t *testing.T) {
 	// smaller fraction of wall time in reconfiguration at 200 MHz than at
 	// the nominal 100 MHz.
 	run := func(freq float64) float64 {
-		p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+		p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestOverheadFractionDropsWithOverclock(t *testing.T) {
 		if _, err := c.SetFrequencyMHz(freq); err != nil {
 			t.Fatal(err)
 		}
-		f := New(c)
+		f := New(c, nil)
 		tr := workload.RoundRobinTrace(12, 100*sim.Microsecond,
 			[]string{"RP1", "RP2"}, []string{"fir128", "sha3", "aes-gcm"})
 		stats, err := f.Run(tr)

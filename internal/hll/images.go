@@ -16,8 +16,8 @@ import (
 // simulated staging on every miss.
 //
 // A store is owned by one scope and is dropped with it: a campaign run
-// (every unit of one experiments.Execute), a fleet, a pdr.System, or a
-// standalone service or framework. None is process-wide, so an image lives
+// (every unit of one experiments.Execute), a planner memo, a fleet, a
+// pdr.System, or a standalone service or framework. None is process-wide, so an image lives
 // only as long as the scope that asked for it. A store is safe for
 // concurrent use by the shards of a campaign and the boards of a parallel
 // fleet.
@@ -44,6 +44,14 @@ type storedImage struct {
 // NewImageStore returns an empty store.
 func NewImageStore() *ImageStore {
 	return &ImageStore{images: make(map[imageKey]*storedImage)}
+}
+
+// Len returns the number of distinct images the store has been asked for;
+// it builds each of them once.
+func (s *ImageStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.images)
 }
 
 // Image returns the ASP's image for region r of dev, building it on the

@@ -75,7 +75,7 @@ func TestImageStoreSharedAcrossBoards(t *testing.T) {
 	asps := []string{"fir128", "sha3"}
 	var svcs []*Service
 	for seed := uint64(1); seed <= 2; seed++ {
-		p, err := zynq.NewPlatform(zynq.Options{Seed: seed, FastThermal: true})
+		p, err := zynq.NewPlatform(zynq.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

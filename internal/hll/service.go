@@ -56,7 +56,7 @@ type ServiceConfig struct {
 	UpsetSeed uint64
 	// Images is the image store cache misses and scrub repairs take their
 	// images from, shared with whatever else runs in the same scope: a
-	// campaign run, a fleet or a pdr.System. nil gives the service its
+	// campaign run, a planner memo, a fleet or a pdr.System. nil gives the service its
 	// own. It saves host work only: simulated staging and cache behaviour
 	// do not depend on it. A fleet fills it in when the template leaves it
 	// nil.
@@ -346,12 +346,7 @@ func (s *Service) prewarm() error {
 // standard trace invariants against this platform's partitions and the
 // ASP library.
 func (s *Service) validate(tr workload.Trace) error {
-	asps := workload.Library()
-	names := make([]string, len(asps))
-	for i, a := range asps {
-		names[i] = a.Name
-	}
-	return tr.Validate(s.eng.order, names)
+	return tr.Validate(s.eng.order, workload.LibraryNames())
 }
 
 // admit runs admission control for one arrival.

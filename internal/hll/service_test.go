@@ -12,7 +12,7 @@ import (
 
 func newServiceController(t *testing.T) *core.Controller {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func mustTrace(t *testing.T) func(workload.Trace, error) workload.Trace {
 func TestServeCompletesEveryAdmittedRequest(t *testing.T) {
 	c := newServiceController(t)
 	s := mustService(t, c, ServiceConfig{QueueCap: -1})
-	tr := mustTrace(t)(workload.OpenPoisson(5, 40, 300,
+	tr := mustTrace(t)(workload.ArrivalSpec{RatePerSec: 300}.Generate(5, 40,
 		[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm"}))
 	stats, err := s.Serve(tr)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestServeOverlapsComputeAcrossRPs(t *testing.T) {
 			}
 			return stats.Makespan
 		}
-		stats, err := New(c).Run(tr)
+		stats, err := New(c, nil).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestServeDeterministic(t *testing.T) {
 			CacheBudgetImages: 2,
 			QueueCap:          8,
 		})
-		tr := mustTrace(t)(workload.OpenBursts(21, 48, 800, 4, 6,
+		tr := mustTrace(t)(workload.ArrivalSpec{RatePerSec: 800, BurstFactor: 4, BurstLen: 6}.Generate(21, 48,
 			[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm", "fft1k"}))
 		stats, err := s.Serve(tr)
 		if err != nil {
@@ -292,7 +292,7 @@ func TestSessionMatchesServe(t *testing.T) {
 		QueueCap:          8,
 		Prewarm:           []string{"fir128"},
 	}
-	tr := mustTrace(t)(workload.OpenBursts(21, 48, 800, 4, 6,
+	tr := mustTrace(t)(workload.ArrivalSpec{RatePerSec: 800, BurstFactor: 4, BurstLen: 6}.Generate(21, 48,
 		[]string{"RP1", "RP2", "RP3", "RP4"}, []string{"fir128", "sha3", "aes-gcm", "fft1k"}))
 
 	cA := newServiceController(t)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/hll"
 )
 
 // Key is the memoization key of one verifying simulation: a SHA-256 over
@@ -36,14 +37,19 @@ func Key(c Candidate, w Workload) string {
 // Memo caches verifying-simulation results across refinement rounds and
 // across repeated planner calls (share one Memo between Search calls to
 // reuse results — e.g. re-planning the same space under a different SLO).
-// Safe for concurrent use.
+// It also holds the image store every verifying fleet builds its
+// bitstreams from, so the Search calls sharing a memo build each distinct
+// image once. Safe for concurrent use.
 type Memo struct {
-	mu sync.Mutex
-	m  map[string]*cluster.FleetStats
+	mu     sync.Mutex
+	m      map[string]*cluster.FleetStats
+	images *hll.ImageStore
 }
 
-// NewMemo builds an empty cache.
-func NewMemo() *Memo { return &Memo{m: make(map[string]*cluster.FleetStats)} }
+// NewMemo builds an empty cache with an empty image store.
+func NewMemo() *Memo {
+	return &Memo{m: make(map[string]*cluster.FleetStats), images: hll.NewImageStore()}
+}
 
 // Len returns the number of cached simulations.
 func (m *Memo) Len() int {

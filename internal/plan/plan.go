@@ -102,29 +102,7 @@ func (c Candidate) Label() string {
 	case c.CacheImages < 0:
 		cache = "no cache"
 	}
-	return fmt.Sprintf("%s @%.0f MHz, %s, %s", boardsLabel(c.Boards), c.FreqMHz, c.Router, cache)
-}
-
-// boardsLabel matches the fleet scenarios' rendering of a composition.
-func boardsLabel(specs []cluster.BoardSpec) string {
-	uniform := true
-	for _, s := range specs[1:] {
-		if s.Platform != specs[0].Platform {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		return fmt.Sprintf("%d× %s", len(specs), specs[0].Platform)
-	}
-	label := ""
-	for i, s := range specs {
-		if i > 0 {
-			label += ","
-		}
-		label += s.Platform
-	}
-	return label
+	return fmt.Sprintf("%s @%.0f MHz, %s, %s", cluster.BoardsLabel(c.Boards), c.FreqMHz, c.Router, cache)
 }
 
 // Prediction is tier A's closed-form estimate for one candidate.

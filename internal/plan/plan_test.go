@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/hll"
 	"repro/internal/sim"
 )
 
@@ -107,6 +108,31 @@ func TestSearchMemoWarmRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(norm(cold), norm(warm)) {
 		t.Error("warm (memoized) result differs from cold run beyond provenance fields")
+	}
+}
+
+// TestSearchSharesMemoImageStore: one Search with a fresh memo, its tier-B
+// batches on four workers, builds every image its verifying fleets load in
+// the memo's store, once each: the store ends up holding exactly the
+// distinct images those simulations need, as counted by re-running them
+// over one reference store.
+func TestSearchSharesMemoImageStore(t *testing.T) {
+	memo := NewMemo()
+	o := testOptions()
+	o.Memo, o.Workers = memo, 4
+	res, err := Search(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := hll.NewImageStore()
+	for _, v := range res.Verified {
+		if _, err := simulate(v.Candidate, res.Workload, 1, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ref.Len() == 0 || memo.images.Len() != ref.Len() {
+		t.Errorf("memo store holds %d images after %d simulations, want the %d distinct images they load",
+			memo.images.Len(), res.SimsRun, ref.Len())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/hll"
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/workpool"
@@ -55,8 +56,8 @@ type Options struct {
 	// board fan-out (see workpool.Split). Output is byte-identical at
 	// every setting.
 	Workers int
-	// Memo, when non-nil, is the shared simulation cache; nil uses a fresh
-	// one private to this call.
+	// Memo, when non-nil, is the shared simulation cache and image store;
+	// nil uses a fresh one private to this call.
 	Memo *Memo
 }
 
@@ -129,8 +130,9 @@ func (o *Options) resolve() {
 }
 
 // simulate runs one candidate's verifying full fleet simulation: the exact
-// stream the workload describes, served by a freshly built fleet.
-func simulate(c Candidate, w Workload, fleetWorkers int) (*cluster.FleetStats, error) {
+// stream the workload describes, served by a freshly built fleet whose
+// boards take their images from the given store.
+func simulate(c Candidate, w Workload, fleetWorkers int, images *hll.ImageStore) (*cluster.FleetStats, error) {
 	rps, err := cluster.CommonRPs(c.Boards)
 	if err != nil {
 		return nil, err
@@ -153,6 +155,7 @@ func simulate(c Candidate, w Workload, fleetWorkers int) (*cluster.FleetStats, e
 		Service: cluster.ServiceTemplate{
 			QueueCap: simQueueCap,
 			Prewarm:  w.ASPs,
+			Images:   images,
 		},
 	}
 	switch {
@@ -327,7 +330,7 @@ func Search(ctx context.Context, o Options) (*Result, error) {
 					errs[k] = err
 					return
 				}
-				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, fleetWorkers)
+				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, fleetWorkers, memo.images)
 			})
 			for k, err := range errs {
 				if err != nil {

@@ -115,8 +115,8 @@ type Profile struct {
 
 	// BootAmbientC is the room temperature the board powers up in.
 	BootAmbientC float64
-	// SlowThermal forces the physical thermal time constant even where a
-	// caller asks for the fast test-friendly build (the
+	// SlowThermal selects the physical thermal time constant (Thermal.Tau)
+	// instead of the fast one every other board uses (the
 	// "zedboard-slow-thermal" preset).
 	SlowThermal bool
 	// AnalyticFixedUS is the calibrated fixed per-transfer overhead of the

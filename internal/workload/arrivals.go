@@ -207,19 +207,3 @@ func (sp ArrivalSpec) generate(seed uint64, rps, asps []string, done func(accept
 	}
 	return tr, nil
 }
-
-// OpenPoisson generates a rate-parameterised Poisson request stream — the
-// standard open-loop arrival model of the saturation sweep.
-func OpenPoisson(seed uint64, n int, ratePerSec float64, rps, asps []string) (Trace, error) {
-	return ArrivalSpec{RatePerSec: ratePerSec}.Generate(seed, n, rps, asps)
-}
-
-// OpenBursts generates a bursty stream: bursts of burstLen requests at
-// ratePerSec·burstFactor, paced so the long-run mean rate is ratePerSec.
-func OpenBursts(seed uint64, n int, ratePerSec, burstFactor float64, burstLen int, rps, asps []string) (Trace, error) {
-	return ArrivalSpec{
-		RatePerSec:  ratePerSec,
-		BurstFactor: burstFactor,
-		BurstLen:    burstLen,
-	}.Generate(seed, n, rps, asps)
-}

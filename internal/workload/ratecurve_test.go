@@ -182,16 +182,13 @@ func TestGenerateNilCurveByteIdentical(t *testing.T) {
 	// A flat curve at the same rate generates the same *mean* but is allowed
 	// to differ (it draws thinning uniforms); the nil-curve stream is the
 	// contract. Compare against a second nil-curve run and the pre-curve
-	// reference generator (OpenPoisson for the plain case).
+	// reference generator (the fixed-gap Poisson loop for the plain case).
 	plainSpec := ArrivalSpec{RatePerSec: 500}
 	plain, err := plainSpec.Generate(11, 2000, rps, asps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := OpenPoisson(11, 2000, 500, rps, asps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := historicalPoisson(11, 2000, sim.FromSeconds(1.0/500), rps, asps)
 	for i := range plain {
 		if plain[i] != ref[i] {
 			t.Fatalf("request %d diverges from the historical stream: %+v vs %+v", i, plain[i], ref[i])

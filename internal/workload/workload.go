@@ -49,6 +49,16 @@ var library = []ASP{
 // (a fresh copy the caller may modify).
 func Library() []ASP { return slices.Clone(library) }
 
+// LibraryNames lists the library's ASP names in library order — the ASP
+// set a trace is validated against.
+func LibraryNames() []string {
+	names := make([]string, len(library))
+	for i, a := range library {
+		names[i] = a.Name
+	}
+	return names
+}
+
 // LibraryASP looks an ASP up by name.
 func LibraryASP(name string) (ASP, error) {
 	for _, a := range library {
@@ -117,23 +127,6 @@ type Request struct {
 
 // Trace is an ordered request sequence.
 type Trace []Request
-
-// PoissonTrace generates n requests with exponential inter-arrivals of the
-// given mean, cycling uniformly over the RPs and ASPs.
-func PoissonTrace(seed uint64, n int, meanGap sim.Duration, rps, asps []string) Trace {
-	rng := sim.NewRNG(seed)
-	tr := make(Trace, 0, n)
-	at := sim.Duration(0)
-	for i := 0; i < n; i++ {
-		at += sim.Duration(float64(meanGap) * rng.ExpFloat64())
-		tr = append(tr, Request{
-			At:  at,
-			RP:  rps[rng.Intn(len(rps))],
-			ASP: asps[rng.Intn(len(asps))],
-		})
-	}
-	return tr
-}
 
 // RoundRobinTrace generates n periodic requests that deliberately thrash
 // the RPs with rotating ASPs — the worst case for reconfiguration latency.

@@ -112,10 +112,32 @@ func TestFillFractionDrivesCompressibility(t *testing.T) {
 	}
 }
 
-func TestPoissonTraceProperties(t *testing.T) {
+// historicalPoisson is the fixed-gap Poisson loop the plain ArrivalSpec
+// stream must keep replaying draw for draw: per request an exponential gap,
+// then the RP, then the ASP, all uniform.
+func historicalPoisson(seed uint64, n int, meanGap sim.Duration, rps, asps []string) Trace {
+	rng := sim.NewRNG(seed)
+	tr := make(Trace, 0, n)
+	at := sim.Duration(0)
+	for i := 0; i < n; i++ {
+		at += sim.Duration(float64(meanGap) * rng.ExpFloat64())
+		tr = append(tr, Request{
+			At:  at,
+			RP:  rps[rng.Intn(len(rps))],
+			ASP: asps[rng.Intn(len(asps))],
+		})
+	}
+	return tr
+}
+
+func TestPoissonSpecProperties(t *testing.T) {
 	rps := []string{"RP1", "RP2"}
 	asps := []string{"fir128", "sha3"}
-	tr := PoissonTrace(7, 200, sim.Millisecond, rps, asps)
+	spec := ArrivalSpec{RatePerSec: 1e3} // 1 ms mean gap
+	tr, err := spec.Generate(7, 200, rps, asps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tr) != 200 {
 		t.Fatalf("len = %d", len(tr))
 	}
@@ -128,10 +150,28 @@ func TestPoissonTraceProperties(t *testing.T) {
 		t.Errorf("mean gap = %v ps, want ≈1e9", mean)
 	}
 	// Determinism.
-	tr2 := PoissonTrace(7, 200, sim.Millisecond, rps, asps)
+	tr2, err := spec.Generate(7, 200, rps, asps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range tr {
 		if tr[i] != tr2[i] {
 			t.Fatal("trace not deterministic")
+		}
+	}
+	// The rate form replays the fixed-gap stream exactly, for the mean
+	// gaps the E9 scenario (400 µs) and the framework example (300 µs)
+	// state in microseconds.
+	for _, gapUS := range []float64{1000, 400, 300} {
+		got, err := ArrivalSpec{RatePerSec: 1e6 / gapUS}.Generate(7, 200, rps, asps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := historicalPoisson(7, 200, sim.FromMicroseconds(gapUS), rps, asps)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v µs gap: request %d = %+v, want %+v", gapUS, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -188,11 +228,12 @@ func TestRoundRobinTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestOpenPoissonMeanRateConverges(t *testing.T) {
+func TestPoissonSpecMeanRateConverges(t *testing.T) {
 	rps := []string{"RP1", "RP2"}
 	asps := []string{"fir128", "sha3"}
 	const rate = 500.0 // req/s
-	tr, err := OpenPoisson(11, 4000, rate, rps, asps)
+	spec := ArrivalSpec{RatePerSec: rate}
+	tr, err := spec.Generate(11, 4000, rps, asps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +245,7 @@ func TestOpenPoissonMeanRateConverges(t *testing.T) {
 		t.Errorf("measured rate %.1f req/s, want %.0f ±5%%", measured, rate)
 	}
 	// Determinism under a fixed seed.
-	tr2, err := OpenPoisson(11, 4000, rate, rps, asps)
+	tr2, err := spec.Generate(11, 4000, rps, asps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +256,12 @@ func TestOpenPoissonMeanRateConverges(t *testing.T) {
 	}
 }
 
-func TestOpenBurstsMeanRateAndShape(t *testing.T) {
+func TestBurstSpecMeanRateAndShape(t *testing.T) {
 	rps := []string{"RP1", "RP2"}
 	asps := []string{"fir128", "sha3"}
 	const rate, factor, blen = 400.0, 4.0, 8
-	tr, err := OpenBursts(13, 4000, rate, factor, blen, rps, asps)
+	spec := ArrivalSpec{RatePerSec: rate, BurstFactor: factor, BurstLen: blen}
+	tr, err := spec.Generate(13, 4000, rps, asps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +336,7 @@ func TestArrivalSpecBurstFactorWithoutBurstLen(t *testing.T) {
 		}
 		// The degenerate spec must be byte-identical to the plain Poisson
 		// stream — the factor is ignored, not half-applied.
-		plain, err := OpenPoisson(11, 4000, rate, rps, asps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := historicalPoisson(11, 4000, sim.FromSeconds(1/rate), rps, asps)
 		for i := range tr {
 			if tr[i] != plain[i] {
 				t.Fatalf("BurstLen %d: request %d diverges from pure Poisson: %+v vs %+v",
@@ -344,13 +383,14 @@ func TestArrivalSpecSkewedPopularity(t *testing.T) {
 }
 
 func TestArrivalSpecRejectsBadInputs(t *testing.T) {
-	if _, err := OpenPoisson(1, 10, 0, []string{"RP1"}, []string{"fir128"}); err == nil {
+	if _, err := (ArrivalSpec{}).Generate(1, 10, []string{"RP1"}, []string{"fir128"}); err == nil {
 		t.Error("zero rate should fail")
 	}
-	if _, err := OpenPoisson(1, 10, 100, nil, []string{"fir128"}); err == nil {
+	spec := ArrivalSpec{RatePerSec: 100}
+	if _, err := spec.Generate(1, 10, nil, []string{"fir128"}); err == nil {
 		t.Error("no RPs should fail")
 	}
-	if _, err := OpenPoisson(1, 10, 100, []string{"RP1"}, nil); err == nil {
+	if _, err := spec.Generate(1, 10, []string{"RP1"}, nil); err == nil {
 		t.Error("no ASPs should fail")
 	}
 }

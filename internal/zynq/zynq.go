@@ -128,32 +128,28 @@ type Options struct {
 	// Profile selects the calibrated platform (nil ⇒ the registry default,
 	// the paper's ZedBoard).
 	Profile *platform.Profile
-	// AmbientC is the room temperature (0 ⇒ the profile's boot ambient).
-	AmbientC float64
-	// NominalMHz is the initial over-clock-domain frequency (0 ⇒ the
-	// profile's nominal).
-	NominalMHz float64
-	// FastThermal shrinks the thermal time constant for tests that do not
-	// care about heating transients. Profiles that force the physical
-	// constant (slow-thermal presets) override it.
-	FastThermal bool
 	// DRAMParams overrides the memory-path parameters (ablations); nil
 	// keeps the profile's calibration.
 	DRAMParams *dram.Params
 }
 
+// The fast thermal time constant and integration step every board uses
+// unless its profile sets SlowThermal: die temperature settles within a
+// fraction of a simulated second, so experiments need not wait out the
+// physical heating transient.
+const (
+	fastThermalTau  = 50 * sim.Millisecond
+	fastThermalStep = sim.Millisecond
+)
+
 // NewPlatform builds the full SoC with the paper's PL design loaded
-// (statically, via PCAP) and all physical couplings wired.
+// (statically, via PCAP) and all physical couplings wired. The board's
+// environment is its profile's: it boots in the profile's ambient at the
+// profile's nominal configuration clock.
 func NewPlatform(opts Options) (*Platform, error) {
 	prof := opts.Profile
 	if prof == nil {
 		prof = platform.Default()
-	}
-	if opts.AmbientC == 0 {
-		opts.AmbientC = prof.BootAmbientC
-	}
-	if opts.NominalMHz == 0 {
-		opts.NominalMHz = prof.Clock.NominalMHz
 	}
 	k := sim.NewKernel()
 	dev := prof.NewDevice()
@@ -168,7 +164,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Monitors: make(map[string]*crcmon.Monitor),
 	}
 
-	p.OverclockDomain = clock.NewDomain("overclock", sim.Hz(opts.NominalMHz*1e6))
+	p.OverclockDomain = clock.NewDomain("overclock", sim.Hz(prof.Clock.NominalMHz*1e6))
 	wiz, err := clock.NewWizard(k, clock.WizardConfig{
 		Fin:      prof.Clock.RefClock,
 		Limits:   prof.Clock.Limits,
@@ -185,16 +181,18 @@ func NewPlatform(opts Options) (*Platform, error) {
 	p.Power.FreqMHz = func() float64 { return p.OverclockDomain.Freq().MHzValue() }
 	p.Power.PLActive = func() bool { return p.plConfigured }
 
-	// Thermal model heated by the chip, measured by the XADC.
+	// Thermal model heated by the chip, measured by the XADC, in the
+	// profile's boot ambient. Its time constant is the fast one unless the
+	// profile forces the physical constant (slow-thermal presets).
 	tcfg := thermal.Config{
-		AmbientC: opts.AmbientC,
+		AmbientC: prof.BootAmbientC,
 		RThermal: prof.Thermal.RThermalCPerW,
-		Tau:      prof.Thermal.Tau,
-		Step:     prof.Thermal.Step,
+		Tau:      fastThermalTau,
+		Step:     fastThermalStep,
 	}
-	if opts.FastThermal && !prof.SlowThermal {
-		tcfg.Tau = 50 * sim.Millisecond
-		tcfg.Step = sim.Millisecond
+	if prof.SlowThermal {
+		tcfg.Tau = prof.Thermal.Tau
+		tcfg.Step = prof.Thermal.Step
 	}
 	tcfg.Power = func() float64 { return p.Power.ChipHeat() }
 	p.Die = thermal.NewDie(k, tcfg)

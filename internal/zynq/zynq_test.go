@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/dma"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/timing"
 )
 
 func newTestPlatform(t *testing.T) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Options{Seed: 1, FastThermal: true})
+	p, err := NewPlatform(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +35,54 @@ func TestPlatformWiring(t *testing.T) {
 	}
 	if len(p.ClockManager.Names()) != 5 {
 		t.Errorf("clock manager outputs = %v", p.ClockManager.Names())
+	}
+}
+
+// TestPlatformEnvironmentFromProfile pins a board's environment to its
+// profile: a zero Options boots every registered board in the profile's
+// ambient at the profile's nominal clock with the fast thermal constant,
+// except the slow-thermal preset, which heats with the physical one.
+func TestPlatformEnvironmentFromProfile(t *testing.T) {
+	for _, prof := range platform.All() {
+		p, err := NewPlatform(Options{Profile: prof})
+		if err != nil {
+			t.Fatalf("%s: %v", prof.Name, err)
+		}
+		if got, want := p.OverclockDomain.Freq(), sim.Hz(prof.Clock.NominalMHz*1e6); got != want {
+			t.Errorf("%s: boot clock %v, want %v", prof.Name, got, want)
+		}
+		ambient := p.Die.TempC() - p.Power.ChipHeat()*prof.Thermal.RThermalCPerW
+		if math.Abs(ambient-prof.BootAmbientC) > 1e-9 {
+			t.Errorf("%s: boot ambient %.3f °C, want %v", prof.Name, ambient, prof.BootAmbientC)
+		}
+		wantTau := fastThermalTau
+		if prof.SlowThermal {
+			wantTau = prof.Thermal.Tau
+		}
+		if got := p.Die.TimeConstant(); got != wantTau {
+			t.Errorf("%s: thermal constant %v, want %v", prof.Name, got, wantTau)
+		}
+	}
+	boot := func(name string) *Platform {
+		prof, ok := platform.Lookup(name)
+		if !ok {
+			t.Fatalf("profile %q not registered", name)
+		}
+		p, err := NewPlatform(Options{Profile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if base, hot := boot("zedboard"), boot("zedboard-hot"); hot.Die.TempC()-base.Die.TempC() != 20 {
+		t.Errorf("zedboard-hot boots %.3f °C above zedboard, want the 20 °C chamber offset",
+			hot.Die.TempC()-base.Die.TempC())
+	}
+	if got := boot("zedboard").Die.TimeConstant(); got != 50*sim.Millisecond {
+		t.Errorf("zedboard thermal constant %v, want the fast 50 ms", got)
+	}
+	if got := boot("zedboard-slow-thermal").Die.TimeConstant(); got != 2*sim.Second {
+		t.Errorf("zedboard-slow-thermal thermal constant %v, want the physical 2 s", got)
 	}
 }
 

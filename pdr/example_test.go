@@ -62,10 +62,13 @@ func ExampleSystem_Framework() {
 		if _, err := sys.SetFrequencyMHz(f); err != nil {
 			log.Fatal(err)
 		}
-		// 60 Poisson requests over 4 RPs and 5 ASP personalities: enough
-		// churn that most requests need a swap.
-		trace := sys.PoissonTrace(23, 60, 300, /* µs mean gap */
+		// 60 Poisson requests (300 µs mean gap) over 4 RPs and 5 ASP
+		// personalities: enough churn that most requests need a swap.
+		trace, err := sys.OpenTrace(pdr.ArrivalSpec{RatePerSec: 1e6 / 300}, 23, 60,
 			[]string{"fir128", "fft1k", "aes-gcm", "sha3", "decimal-fpu"})
+		if err != nil {
+			log.Fatal(err)
+		}
 		stats, err := sys.Framework().Run(trace)
 		if err != nil {
 			log.Fatal(err)

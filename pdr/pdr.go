@@ -20,6 +20,7 @@
 package pdr
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitstream"
@@ -86,10 +87,8 @@ type (
 type Option func(*options)
 
 type options struct {
-	seed        uint64
-	platform    string
-	ambientC    float64
-	fastThermal bool
+	seed     uint64
+	platform string
 }
 
 // WithSeed fixes the deterministic seed (default 1).
@@ -97,16 +96,10 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
 // WithPlatform selects the registered platform profile the system simulates
 // (default "zedboard", the paper's calibrated board; see Platforms for the
-// registry).
+// registry). The profile is the board's environment too: "zedboard-hot"
+// boots in a 45 °C chamber and "zedboard-slow-thermal" heats with the
+// physical 2 s time constant.
 func WithPlatform(name string) Option { return func(o *options) { o.platform = name } }
-
-// WithAmbient sets the room temperature in °C (default: the platform
-// profile's boot ambient, 25 on the ZedBoard).
-func WithAmbient(c float64) Option { return func(o *options) { o.ambientC = c } }
-
-// WithSlowThermal uses the physical thermal time constant instead of the
-// fast test-friendly one.
-func WithSlowThermal() Option { return func(o *options) { o.fastThermal = false } }
 
 // PlatformInfo summarises one registered platform profile.
 type PlatformInfo struct {
@@ -151,7 +144,7 @@ type System struct {
 // NewSystem builds and boots a simulated board with the PDR design (the
 // paper's ZedBoard unless WithPlatform selects another registered profile).
 func NewSystem(opts ...Option) (*System, error) {
-	o := options{seed: 1, fastThermal: true}
+	o := options{seed: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -159,12 +152,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("pdr: unknown platform %q (registered: %s)", o.platform, platform.NameList())
 	}
-	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        o.seed,
-		Profile:     prof,
-		AmbientC:    o.ambientC,
-		FastThermal: o.fastThermal,
-	})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: o.seed, Profile: prof})
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +227,7 @@ func (s *System) Sweep(rp, asp string, freqsMHz []float64) ([]SweepPoint, error)
 		return nil, err
 	}
 	cal := &core.Calibrator{C: s.Controller, RP: rp, Bitstream: bs}
-	return cal.Sweep(freqsMHz)
+	return cal.Sweep(context.Background(), freqsMHz)
 }
 
 // StressMatrix reruns the sweep across die temperatures with the heat gun
@@ -250,7 +238,7 @@ func (s *System) StressMatrix(rp, asp string, freqsMHz, tempsC []float64) ([]Str
 		return nil, err
 	}
 	cal := &core.Calibrator{C: s.Controller, RP: rp, Bitstream: bs}
-	return cal.StressMatrix(freqsMHz, tempsC)
+	return cal.StressMatrix(context.Background(), freqsMHz, tempsC)
 }
 
 // PowerGrid measures P_PDR over frequency × temperature (Fig. 6/Table II).
@@ -260,7 +248,7 @@ func (s *System) PowerGrid(rp, asp string, freqsMHz, tempsC []float64) ([]PowerP
 		return nil, err
 	}
 	pp := &core.PowerProfiler{C: s.Controller, Meter: s.meter, RP: rp, Bitstream: bs}
-	return pp.Grid(freqsMHz, tempsC)
+	return pp.Grid(context.Background(), freqsMHz, tempsC)
 }
 
 // Optimize runs the paper's methodology: find the most power-efficient
@@ -295,8 +283,9 @@ func (s *System) BoardPowerW() float64 { return s.meter.ReadBoard() }
 // PDRPowerW reads the baseline-subtracted P_PDR.
 func (s *System) PDRPowerW() float64 { return s.meter.ReadPDR() }
 
-// Framework builds the Fig.-1 multi-RP acceleration framework.
-func (s *System) Framework() *hll.Framework { return hll.New(s.Controller) }
+// Framework builds the Fig.-1 multi-RP acceleration framework; its images
+// come from the system's own store.
+func (s *System) Framework() *hll.Framework { return hll.New(s.Controller, s.images) }
 
 // rpNames lists the system's partition names in platform order.
 func (s *System) rpNames() []string {
@@ -305,12 +294,6 @@ func (s *System) rpNames() []string {
 		rps = append(rps, rp.Name)
 	}
 	return rps
-}
-
-// PoissonTrace generates a random request trace over the standard RPs and
-// the named ASPs.
-func (s *System) PoissonTrace(seed uint64, n int, meanGapUS float64, asps []string) Trace {
-	return workload.PoissonTrace(seed, n, sim.FromMicroseconds(meanGapUS), s.rpNames(), asps)
 }
 
 // OpenTrace generates an open-loop arrival stream over the system's RPs

@@ -193,7 +193,10 @@ func TestFrameworkAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw := sys.Framework()
-	tr := sys.PoissonTrace(3, 10, 500, []string{"fir128", "sha3"})
+	tr, err := sys.OpenTrace(pdr.ArrivalSpec{RatePerSec: 1e6 / 500}, 3, 10, []string{"fir128", "sha3"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stats, err := fw.Run(tr)
 	if err != nil {
 		t.Fatal(err)
