@@ -26,7 +26,7 @@ func TestDeterministicReports(t *testing.T) {
 		// Table I spans the full behavior space: stream-limited and
 		// memory-limited throughput, the hang rows (lost interrupt) and the
 		// corrupt rows (RNG-driven bit flips).
-		rep, err := experiments.TableI(env)
+		rep, err := experiments.TableI(context.Background(), env)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,32 +247,6 @@ func TestFleetThermalExcursionIsNotAnOutage(t *testing.T) {
 	}
 }
 
-func TestFleetChaosConfigErrors(t *testing.T) {
-	if _, err := New(FleetConfig{
-		Boards: zedboards(2),
-		Chaos: &ChaosConfig{Schedule: []chaos.Event{
-			{At: sim.Millisecond, Board: 5, Kind: chaos.BoardDown},
-		}},
-	}); err == nil {
-		t.Error("chaos event beyond the fleet must fail")
-	}
-	if _, err := New(FleetConfig{
-		Boards: zedboards(2),
-		Chaos: &ChaosConfig{Schedule: []chaos.Event{
-			{At: 2 * sim.Millisecond, Board: 0, Kind: chaos.BoardDown},
-			{At: sim.Millisecond, Board: 0, Kind: chaos.BoardUp},
-		}},
-	}); err == nil {
-		t.Error("unsorted chaos schedule must fail")
-	}
-	if _, err := New(FleetConfig{
-		Boards: zedboards(2),
-		Chaos:  &ChaosConfig{ProbeEvery: -sim.Millisecond},
-	}); err == nil {
-		t.Error("negative probe interval must fail")
-	}
-}
-
 // A nil Chaos config must leave the historical fault-free path untouched,
 // bit for bit — the chaos machinery may not perturb a single counter.
 func TestFleetNilChaosMatchesBaseline(t *testing.T) {

@@ -189,11 +189,43 @@ func CommonRPs(specs []BoardSpec) ([]string, error) {
 	return common, nil
 }
 
-// New builds the fleet: every board is booted up front (an autoscaler
-// activates and deactivates routing, not hardware), so the run's cost and
-// RNG draws never depend on scaling decisions.
+// Validate checks the fleet without booting anything: the board list and
+// its shared RP set, the service template, and the autoscaler and chaos
+// configurations against the fleet size.
+func (c *FleetConfig) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the fleet's common RP set, so New walks
+// the board list once.
+func (c *FleetConfig) validate() ([]string, error) {
+	common, err := CommonRPs(c.Boards)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Service.Validate(); err != nil {
+		return nil, err
+	}
+	if c.Autoscaler != nil {
+		if err := c.Autoscaler.Validate(len(c.Boards)); err != nil {
+			return nil, err
+		}
+	}
+	if c.Chaos != nil {
+		if err := c.Chaos.Validate(len(c.Boards)); err != nil {
+			return nil, err
+		}
+	}
+	return common, nil
+}
+
+// New validates the configuration and builds the fleet: every board is
+// booted up front (an autoscaler activates and deactivates routing, not
+// hardware), so the run's cost and RNG draws never depend on scaling
+// decisions.
 func New(cfg FleetConfig) (*Fleet, error) {
-	common, err := CommonRPs(cfg.Boards)
+	common, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -209,15 +241,9 @@ func New(cfg FleetConfig) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, router: router, common: common}
 	if cfg.Autoscaler != nil {
-		if err := cfg.Autoscaler.Validate(len(cfg.Boards)); err != nil {
-			return nil, err
-		}
 		f.scaler = newAutoscaler(*cfg.Autoscaler)
 	}
 	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(len(cfg.Boards)); err != nil {
-			return nil, err
-		}
 		f.health = newHealth(cfg.Chaos, len(cfg.Boards))
 	}
 	for i, spec := range cfg.Boards {
@@ -234,10 +260,7 @@ func New(cfg FleetConfig) (*Fleet, error) {
 }
 
 func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
-	prof, ok := platform.Lookup(spec.Platform)
-	if !ok {
-		return nil, fmt.Errorf("unknown platform %q (registered: %s)", spec.Platform, platform.NameList())
-	}
+	prof, _ := platform.Lookup(spec.Platform) // validated by New
 	p, err := zynq.NewPlatform(zynq.Options{Seed: deriveSeed(cfg.Seed, index), Profile: prof})
 	if err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ import (
 // suspending read-back during loads. This ablation measures a load with the
 // monitor idle versus a load issued while a scan is in flight (the chunk in
 // flight must drain first).
-func AblationCRC(env *Env) (*Report, error) {
+func AblationCRC(_ context.Context, env *Env) (*Report, error) {
 	c := env.Controller
 	if _, err := c.SetFrequencyMHz(200); err != nil {
 		return nil, err
@@ -110,7 +110,7 @@ func AblationKnee(ctx context.Context, src *Boards, _ int) (*Report, error) {
 
 // AblationRobustGuard (A3): the cost of an over-clock failure episode with
 // recovery, versus a clean load — the operational value of CRC detection.
-func AblationRobustGuard(env *Env) (*Report, error) {
+func AblationRobustGuard(_ context.Context, env *Env) (*Report, error) {
 	c := env.Controller
 	if _, err := c.SetFrequencyMHz(200); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func num(t *testing.T, s string) float64 {
 }
 
 func TestTableIAgainstPaper(t *testing.T) {
-	rep, err := TableI(newEnv(t))
+	rep, err := TableI(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFig6FamilyAgainstPaperShape(t *testing.T) {
 }
 
 func TestTableIIKneeAt200(t *testing.T) {
-	rep, err := TableII(newEnv(t))
+	rep, err := TableII(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTableIIKneeAt200(t *testing.T) {
 }
 
 func TestTableIIIAgainstPaper(t *testing.T) {
-	rep, err := TableIII(newEnv(t))
+	rep, err := TableIII(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestTableIIIAgainstPaper(t *testing.T) {
 }
 
 func TestSecVIDoublesThroughput(t *testing.T) {
-	rep, err := SecVI(newEnv(t))
+	rep, err := SecVI(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSecVIDoublesThroughput(t *testing.T) {
 }
 
 func TestLatencyClaims(t *testing.T) {
-	rep, err := LatencyClaims(newEnv(t))
+	rep, err := LatencyClaims(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestLatencyClaims(t *testing.T) {
 }
 
 func TestAblationCRCBounded(t *testing.T) {
-	rep, err := AblationCRC(newEnv(t))
+	rep, err := AblationCRC(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAblationKneeDecomposition(t *testing.T) {
 }
 
 func TestAblationRobustGuard(t *testing.T) {
-	rep, err := AblationRobustGuard(newEnv(t))
+	rep, err := AblationRobustGuard(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}

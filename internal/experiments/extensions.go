@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dram"
@@ -13,7 +14,7 @@ import (
 // from the configuration path. This ablation measures reconfiguration
 // throughput at 280 MHz (memory-bound, worst case) under increasing
 // background traffic.
-func AblationContention(env *Env) (*Report, error) {
+func AblationContention(_ context.Context, env *Env) (*Report, error) {
 	c := env.Controller
 	p := env.Platform
 	if _, err := c.SetFrequencyMHz(280); err != nil {
@@ -51,7 +52,7 @@ func AblationContention(env *Env) (*Report, error) {
 // AblationScrub (A5): the run-time payoff of the CRC read-back block —
 // repairing injected single-event upsets in place versus reloading the
 // whole partial bitstream.
-func AblationScrub(env *Env) (*Report, error) {
+func AblationScrub(_ context.Context, env *Env) (*Report, error) {
 	c := env.Controller
 	p := env.Platform
 	if _, err := c.SetFrequencyMHz(200); err != nil {

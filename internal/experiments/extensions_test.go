@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
 func TestAblationContentionMonotone(t *testing.T) {
-	rep, err := AblationContention(newEnv(t))
+	rep, err := AblationContention(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestAblationContentionMonotone(t *testing.T) {
 }
 
 func TestAblationScrubRepairsAndScales(t *testing.T) {
-	rep, err := AblationScrub(newEnv(t))
+	rep, err := AblationScrub(context.Background(), newEnv(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestHLLTrafficSlowsReconfigUnderLoad(t *testing.T) {
 	}
 	before, _, _ := env.Platform.DDR.Stats()
 	_ = before
-	rep, err := AblationContention(env)
+	rep, err := AblationContention(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,8 +271,8 @@ func runShard(ctx context.Context, s Scenario, src *Boards, shard int) (*Report,
 }
 
 // single adapts a whole-artefact runner to the shard interface: it runs
-// on a fresh board of the campaign platform.
-func single(fn func(*Env) (*Report, error)) func(context.Context, *Boards, int) (*Report, error) {
+// on a fresh board of the campaign platform under the shard's ctx.
+func single(fn func(context.Context, *Env) (*Report, error)) func(context.Context, *Boards, int) (*Report, error) {
 	return func(ctx context.Context, src *Boards, _ int) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -281,7 +281,7 @@ func single(fn func(*Env) (*Report, error)) func(context.Context, *Boards, int) 
 		if err != nil {
 			return nil, err
 		}
-		return fn(env)
+		return fn(ctx, env)
 	}
 }
 

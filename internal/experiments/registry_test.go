@@ -198,6 +198,19 @@ func TestScenarioCancellation(t *testing.T) {
 	}
 }
 
+// TestWholeArtefactCancellation: the whole-artefact runners measure under
+// the shard's ctx, so E1's sweep and E5's grid stop when it dies instead
+// of running to the end.
+func TestWholeArtefactCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, run := range []func(context.Context, *Env) (*Report, error){TableI, TableII} {
+		if _, err := run(ctx, newEnv(t)); err != context.Canceled {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	}
+}
+
 // TestShardDeterminism: re-running the same shard on a fresh source must
 // give identical partial output — the property the campaign merge relies
 // on.

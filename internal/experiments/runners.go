@@ -16,13 +16,13 @@ import (
 )
 
 // TableI (E1): throughput vs frequency when over-clocking.
-func TableI(env *Env) (*Report, error) {
+func TableI(ctx context.Context, env *Env) (*Report, error) {
 	cal := &core.Calibrator{C: env.Controller, Bitstream: env.Bitstream}
 	freqs := make([]float64, 0, len(paperdata.TableI))
 	for _, row := range paperdata.TableI {
 		freqs = append(freqs, row.FreqMHz)
 	}
-	points, err := cal.Sweep(context.Background(), freqs)
+	points, err := cal.Sweep(ctx, freqs)
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +57,11 @@ func TableI(env *Env) (*Report, error) {
 // code through Execute and reports the same numbers.
 
 // TableII (E5): power efficiency at 40 °C.
-func TableII(env *Env) (*Report, error) {
+func TableII(ctx context.Context, env *Env) (*Report, error) {
 	meter := power.NewMeter(env.Platform.Kernel, env.Platform.Power, 100*sim.Microsecond)
 	pp := &core.PowerProfiler{C: env.Controller, Meter: meter, Bitstream: env.Bitstream}
 	freqs := []float64{100, 140, 180, 200, 240, 280}
-	points, err := pp.Grid(context.Background(), freqs, []float64{40})
+	points, err := pp.Grid(ctx, freqs, []float64{40})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func TableII(env *Env) (*Report, error) {
 }
 
 // TableIII (E6): comparison with related work.
-func TableIII(env *Env) (*Report, error) {
+func TableIII(_ context.Context, env *Env) (*Report, error) {
 	rep := &Report{
 		ID:     "E6",
 		Title:  "Table III — comparison with related work",
@@ -142,7 +142,7 @@ func TableIII(env *Env) (*Report, error) {
 }
 
 // SecVI (E7): the proposed SRAM-based reconfiguration environment.
-func SecVI(env *Env) (*Report, error) {
+func SecVI(_ context.Context, env *Env) (*Report, error) {
 	p := env.Platform
 	sys, err := srampdr.New(srampdr.Config{
 		Kernel: p.Kernel,
@@ -208,7 +208,7 @@ func SecVI(env *Env) (*Report, error) {
 
 // LatencyClaims (E8): the abstract's "about 670 µs for bitstreams of 1.2 MB"
 // versus what Table I's own numbers imply.
-func LatencyClaims(env *Env) (*Report, error) {
+func LatencyClaims(_ context.Context, env *Env) (*Report, error) {
 	rep := &Report{
 		ID:     "E8",
 		Title:  "latency-claim consistency check (abstract vs. Table I)",

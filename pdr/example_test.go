@@ -468,3 +468,214 @@ func ExampleCampaign() {
 	//
 	// 2 scenarios as 8 shards on 2 workers
 }
+
+// The reconfiguration service scaled out: boards behind a request router
+// turn one ZedBoard's saturation knee into a capacity question. Fleet size
+// spreads load above one board's knee; affinity routing (consistent
+// hashing on the image) keeps each image on one board's cache where
+// round-robin thrashes every cache; and the autoscaler grows the active
+// fleet from one board until windowed shed rate and p99 recover.
+func ExampleFleet() {
+	asps := []string{"fir128", "sha3", "aes-gcm", "fft1k"}
+	serve := func(opts pdr.FleetOptions, spec pdr.ArrivalSpec) *pdr.FleetStats {
+		opts.Seed = 42
+		f, err := pdr.NewFleet(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tr, err := f.OpenTrace(spec, 7, 128, asps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := f.Serve(tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return st
+	}
+	p99 := func(st *pdr.FleetStats) float64 { return st.Aggregate.SojournUS.Quantile(0.99) / 1000 }
+
+	load := pdr.ArrivalSpec{RatePerSec: 1600, Deadline: 20 * sim.Millisecond}
+	warm := pdr.ServiceConfig{Prewarm: asps}
+	fmt.Println("— goodput vs fleet size at 1600 req/s (one board saturates ≈800) —")
+	for _, n := range []int{1, 2} {
+		st := serve(pdr.FleetOptions{Boards: make([]string, n), Router: "least-outstanding", Service: warm}, load)
+		fmt.Printf("%d board(s): goodput %5.0f req/s  p99 %6.2f ms  deadline misses %3d/%d\n",
+			n, st.GoodputPerSec(), p99(st), st.Aggregate.DeadlineMisses, st.Aggregate.Completed)
+	}
+
+	fmt.Println("\n— routing policies, cold 5-image caches vs a 16-image working set —")
+	skewed := pdr.ArrivalSpec{RatePerSec: 400, Skew: 1.1, Deadline: 20 * sim.Millisecond}
+	for _, router := range []string{"round-robin", "affinity"} {
+		st := serve(pdr.FleetOptions{Boards: make([]string, 4), Router: router,
+			Service: pdr.ServiceConfig{CacheBudgetImages: 5}}, skewed)
+		fmt.Printf("%-11s: hit ratio %3.0f%%  p99 %6.2f ms\n", router, 100*st.CacheHitRatio(), p99(st))
+	}
+
+	fmt.Println("\n— autoscaler: grow from 1 board under pressure —")
+	st := serve(pdr.FleetOptions{
+		Boards: make([]string, 4),
+		Router: "least-outstanding",
+		Autoscale: &pdr.AutoscalePolicy{
+			Window: 25 * sim.Millisecond, Min: 1, Max: 4,
+			ShedHi: 0.01, P99HiUS: 20_000, P99LoUS: 2_000,
+		},
+		Service: warm,
+	}, load)
+	for _, ev := range st.ScaleEvents {
+		fmt.Printf("t=%5.1f ms: %d → %d boards (%s)\n", ev.AtUS/1000, ev.From, ev.To, ev.Reason)
+	}
+	fmt.Printf("settled at %d active board(s), peak %d; fleet p99 %.2f ms\n", st.FinalActive, st.PeakActive, p99(st))
+	// Output:
+	// — goodput vs fleet size at 1600 req/s (one board saturates ≈800) —
+	// 1 board(s): goodput   308 req/s  p99  55.80 ms  deadline misses  87/128
+	// 2 board(s): goodput  1579 req/s  p99   5.01 ms  deadline misses   0/128
+	//
+	// — routing policies, cold 5-image caches vs a 16-image working set —
+	// round-robin: hit ratio  23%  p99 344.67 ms
+	// affinity   : hit ratio  54%  p99  93.36 ms
+	//
+	// — autoscaler: grow from 1 board under pressure —
+	// t= 50.0 ms: 1 → 2 boards (p99 21.0ms > 20.0ms)
+	// t= 75.0 ms: 2 → 3 boards (p99 32.4ms > 20.0ms)
+	// settled at 3 active board(s), peak 3; fleet p99 39.42 ms
+}
+
+// The fleet under fire: a seeded fault storm (a crash, a thermal excursion
+// into the throttle regime, CRC glitches against resident images) replayed
+// against a warm four-board fleet with failover, outlier ejection,
+// throttling, scrub repair and an autoscaler that replaces dead capacity.
+// The same seed draws the same storm for every routing policy. Queue depth
+// already encodes board health, so least-outstanding degrades gracefully;
+// consistent hashing funnels a crashed board's keys onto one survivor.
+func ExampleFaultStorm() {
+	asps := []string{"fir128", "sha3", "aes-gcm", "fft1k"}
+	storm := pdr.FaultStorm{
+		Seed: 17, Horizon: 120 * sim.Millisecond, Boards: 4,
+		Crashes: 1, Outage: 40 * sim.Millisecond,
+		Excursions: 1, ExcursionTempC: 85, Dwell: 30 * sim.Millisecond,
+		Glitches: 2, GlitchFrames: 2,
+	}
+	schedule, err := storm.Schedule()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, ev := range schedule {
+		fmt.Printf("t=%5.1f ms  board %d  %s\n", float64(ev.At)/float64(sim.Millisecond), ev.Board, ev.Kind)
+	}
+
+	// 1600 req/s is comfortable for four boards: what goes wrong is the storm's doing.
+	load := pdr.ArrivalSpec{RatePerSec: 1600, Skew: 1.1, Deadline: 20 * sim.Millisecond}
+	for _, router := range []string{"least-outstanding", "affinity"} {
+		f, err := pdr.NewFleet(pdr.FleetOptions{
+			Boards:  make([]string, 4),
+			Seed:    42,
+			Router:  router,
+			Service: pdr.ServiceConfig{Prewarm: asps, Repair: "scrub"},
+			Chaos:   &pdr.ChaosPolicy{Schedule: schedule},
+			Autoscale: &pdr.AutoscalePolicy{
+				Window: 25 * sim.Millisecond, Min: 3, Max: 4,
+				ShedHi: 0.01, P99HiUS: 20_000, ShedLo: -1, // never shrink mid-storm
+			},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		tr, err := f.OpenTrace(load, 7, 192, asps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := f.Serve(tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-17s: avail %5.1f%%  p99 %6.2f ms  lost %2d  failed over %d  repairs %d\n",
+			router, 100*st.Availability(), st.Aggregate.SojournUS.Quantile(0.99)/1000,
+			st.Aggregate.Lost, st.FailedOver, st.Aggregate.Repairs)
+	}
+	// Output:
+	// t= 37.5 ms  board 0  crc-glitch
+	// t= 73.8 ms  board 1  board-down
+	// t= 77.5 ms  board 0  crc-glitch
+	// t= 86.3 ms  board 1  heat-on
+	// t=113.8 ms  board 1  board-up
+	// t=116.3 ms  board 1  heat-off
+	// least-outstanding: avail 100.0%  p99  19.10 ms  lost  0  failed over 1  repairs 2
+	// affinity         : avail  89.1%  p99  25.59 ms  lost 21  failed over 1  repairs 1
+}
+
+// A day of traffic against the autoscaler: a diurnal rate curve with a
+// flash crowd, served on six-board fleets by the reactive scaler (one
+// board per window on shed pressure) and the predictive one (a Holt
+// forecast of the next window's rate, pre-provisioned to). The flash
+// ramps faster than any forecast, so the comparison isolates recovery.
+// The day then round-trips through the versioned trace format, so a
+// recorded day replays against any policy.
+func ExampleFleet_OpenTraceUntil() {
+	const hour = 20 * sim.Millisecond // the scaler window
+	at := func(h int) sim.Duration { return sim.Duration(h) * hour }
+	day := &pdr.RateCurve{
+		Points: []pdr.RatePoint{
+			{At: at(0), RatePerSec: 120}, {At: at(5), RatePerSec: 100},
+			{At: at(8), RatePerSec: 250}, {At: at(12), RatePerSec: 350},
+			{At: at(16), RatePerSec: 300}, {At: at(20), RatePerSec: 200},
+			{At: at(24), RatePerSec: 120},
+		},
+		// +1000 req/s ramping in one hour at 16:00, holding two, decaying in one.
+		Flashes: []pdr.Flash{{Start: at(16), Ramp: hour, Hold: 2 * hour, Decay: hour, PeakPerSec: 1000}},
+	}
+	fleet := func(policy pdr.ScalerPolicy) *pdr.Fleet {
+		f, err := pdr.NewFleet(pdr.FleetOptions{
+			Boards: make([]string, 6), // cold caches
+			Seed:   42,
+			Router: "least-outstanding",
+			Autoscale: &pdr.AutoscalePolicy{
+				Window: hour, Min: 1, Max: 6,
+				ShedHi: 0.01, P99HiUS: 1e6, P99LoUS: 20_000, // growth is shed-driven
+				Policy: policy, BoardRatePerSec: 200,
+			},
+			Service: pdr.ServiceConfig{QueueCap: 8}, // excess demand sheds in-window
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return f
+	}
+	tr, err := fleet(pdr.ScalerReactive).OpenTraceUntil(pdr.ArrivalSpec{Curve: day, Deadline: 120 * sim.Millisecond},
+		7, 24*hour, []string{"fir128", "sha3", "aes-gcm", "fft1k"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("one simulated day: %d arrivals, flash crowd at hour 16\n", len(tr))
+	for _, policy := range []pdr.ScalerPolicy{pdr.ScalerReactive, pdr.ScalerPredictive} {
+		st, err := fleet(policy).Serve(tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-10s: completed %d  shed %d  deadline misses %d  boards per hour ",
+			policy, st.Aggregate.Completed, st.Aggregate.Shed, st.Aggregate.DeadlineMisses)
+		for _, w := range st.Windows {
+			fmt.Print(w.Active)
+		}
+		fmt.Println()
+	}
+
+	data, err := pdr.ExportTrace(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	back, err := pdr.ImportTrace(data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	again, err := pdr.ExportTrace(back)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trace file v%d: export → import → export identical: %v\n", pdr.TraceFileVersion, string(data) == string(again))
+	// Output:
+	// one simulated day: 161 arrivals, flash crowd at hour 16
+	// reactive  : completed 147  shed 14  deadline misses 107  boards per hour 11111111111222233445555
+	// predictive: completed 159  shed 2  deadline misses 88  boards per hour 11122211122333224665311
+	// trace file v1: export → import → export identical: true
+}

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/obs"
+	"repro/internal/hll"
 	"repro/internal/sim"
 )
 
@@ -78,7 +78,9 @@ type FleetOptions struct {
 	Router string
 	// Service is every board's service configuration, resolved against
 	// each board's own profile (see ServiceConfig). The fleet sets
-	// UpsetSeed per board, and builds its images in a store of its own.
+	// UpsetSeed per board. Every board of every Serve builds its images in
+	// Service.Images, or, when that is nil, in one store the fleet makes
+	// at NewFleet, so a repeated Serve builds no image again.
 	Service ServiceConfig
 	// Autoscale, when non-nil, starts each run at Min active boards and
 	// reacts to windowed shed-rate and p99 signals. Nil keeps the whole
@@ -108,103 +110,75 @@ type FleetOptions struct {
 // booted boards, so a Fleet value is reusable and every run is a pure
 // function of (options, trace).
 type Fleet struct {
-	opts   FleetOptions
-	common []string // the boards' shared RP set, computed at NewFleet
+	cfg    cluster.FleetConfig // the resolved options; Serve adds a fresh router and the trace
+	router string              // routing policy name (routers carry state, so one per Serve)
+	tracer *Tracer
+	common []string // the boards' shared RP set
 	serves int32    // Serve ordinal, keys the tracer's per-run fleets
 }
 
-// NewFleet validates the options and returns a fleet handle. Board
-// construction happens per Serve call (fresh boards per run, exactly like
-// System.Serve's fresh service); validation — platforms, the RP-plan
-// intersection, router, dispatch policy, autoscaler bounds — happens here
-// without booting anything, so a misconfigured fleet fails fast.
+// NewFleet resolves the options' defaults into one fleet configuration and
+// validates it — platforms, the RP-plan intersection, router, service,
+// autoscaler bounds and chaos schedule — without booting anything, so a
+// misconfigured fleet fails fast. Board construction happens per Serve
+// call (fresh boards per run, exactly like System.Serve's fresh service).
 func NewFleet(o FleetOptions) (*Fleet, error) {
-	f := &Fleet{opts: o}
-	specs := f.specs()
-	common, err := cluster.CommonRPs(specs)
-	if err != nil {
-		return nil, fmt.Errorf("pdr: %w", err)
-	}
-	f.common = common
-	if o.Router != "" {
-		if _, err := cluster.RouterByName(o.Router); err != nil {
-			return nil, fmt.Errorf("pdr: %w", err)
-		}
-	}
-	if err := o.Service.Validate(); err != nil {
-		return nil, fmt.Errorf("pdr: %w", err)
-	}
-	if o.Autoscale != nil {
-		if err := o.Autoscale.Validate(len(specs)); err != nil {
-			return nil, fmt.Errorf("pdr: %w", err)
-		}
-	}
-	if o.Chaos != nil {
-		if err := o.Chaos.Validate(len(specs)); err != nil {
-			return nil, fmt.Errorf("pdr: %w", err)
-		}
-	}
-	return f, nil
-}
-
-// specs resolves the board list (the zero value means two zedboards).
-func (f *Fleet) specs() []cluster.BoardSpec {
-	boards := f.opts.Boards
+	boards := o.Boards
 	if len(boards) == 0 {
 		boards = []string{"", ""}
 	}
-	specs := make([]cluster.BoardSpec, len(boards))
-	for i, p := range boards {
-		specs[i] = cluster.BoardSpec{Platform: p}
-	}
-	return specs
-}
-
-// build assembles a fresh cluster fleet from the options.
-func (f *Fleet) build(ft *obs.FleetTrace) (*cluster.Fleet, error) {
-	o := f.opts
-	specs := f.specs()
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	freq := o.FreqMHz
-	switch {
-	case freq == 0:
-		freq = 200
-	case freq < 0:
-		freq = 0
-	}
-	var router cluster.Router
-	if o.Router != "" {
-		var err error
-		if router, err = cluster.RouterByName(o.Router); err != nil {
-			return nil, fmt.Errorf("pdr: %w", err)
-		}
-	}
-	workers := o.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cf, err := cluster.New(cluster.FleetConfig{
-		Boards:     specs,
-		Seed:       seed,
-		FreqMHz:    freq,
-		Router:     router,
+	cfg := cluster.FleetConfig{
+		Boards:     make([]cluster.BoardSpec, len(boards)),
+		Seed:       o.Seed,
+		FreqMHz:    o.FreqMHz,
 		Autoscaler: o.Autoscale,
 		Chaos:      o.Chaos,
-		Workers:    workers,
-		Trace:      ft,
+		Workers:    o.Workers,
 		Service:    o.Service,
-	})
+	}
+	for i, p := range boards {
+		cfg.Boards[i].Platform = p
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	switch {
+	case cfg.FreqMHz == 0:
+		cfg.FreqMHz = 200
+	case cfg.FreqMHz < 0:
+		cfg.FreqMHz = 0
+	}
+	if cfg.Workers < 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Service.Images == nil {
+		cfg.Service.Images = hll.NewImageStore()
+	}
+	f := &Fleet{cfg: cfg, router: o.Router, tracer: o.Tracer}
+	if f.router == "" {
+		f.router = "round-robin"
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("pdr: %w", err)
+	}
+	if _, err := f.newRouter(); err != nil {
+		return nil, err
+	}
+	f.common, _ = cluster.CommonRPs(cfg.Boards) // validated above
+	return f, nil
+}
+
+// newRouter returns a fresh instance of the fleet's routing policy.
+func (f *Fleet) newRouter() (cluster.Router, error) {
+	r, err := cluster.RouterByName(f.router)
 	if err != nil {
 		return nil, fmt.Errorf("pdr: %w", err)
 	}
-	return cf, nil
+	return r, nil
 }
 
 // Size returns the fleet's board count.
-func (f *Fleet) Size() int { return len(f.specs()) }
+func (f *Fleet) Size() int { return len(f.cfg.Boards) }
 
 // RPNames lists the partitions every fleet board serves — the servable RP
 // set a fleet trace must stay within (mixed fleets intersect their boards'
@@ -230,19 +204,19 @@ func (f *Fleet) OpenTraceUntil(spec ArrivalSpec, seed uint64, horizon sim.Durati
 // dispatch policy and bitstream cache), and the merged statistics come
 // back. Repeated calls with the same trace produce byte-identical results.
 func (f *Fleet) Serve(tr Trace) (*FleetStats, error) {
-	var ft *obs.FleetTrace
-	if f.opts.Tracer != nil {
-		router := f.opts.Router
-		if router == "" {
-			router = "round-robin"
-		}
-		n := atomic.AddInt32(&f.serves, 1) - 1
-		ft = f.opts.Tracer.Fleet(fmt.Sprintf("fleet/%02d", n),
-			fmt.Sprintf("%d boards, %s", f.Size(), router))
-	}
-	cf, err := f.build(ft)
-	if err != nil {
+	cfg := f.cfg
+	var err error
+	if cfg.Router, err = f.newRouter(); err != nil {
 		return nil, err
+	}
+	if f.tracer != nil {
+		n := atomic.AddInt32(&f.serves, 1) - 1
+		cfg.Trace = f.tracer.Fleet(fmt.Sprintf("fleet/%02d", n),
+			fmt.Sprintf("%d boards, %s", f.Size(), f.router))
+	}
+	cf, err := cluster.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("pdr: %w", err)
 	}
 	st, err := cf.Serve(tr)
 	if err != nil {

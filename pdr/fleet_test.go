@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/pdr"
 )
@@ -81,36 +83,6 @@ func TestFleetDefaultsAndMixedRPs(t *testing.T) {
 	}
 }
 
-func TestFleetAutoscaleOption(t *testing.T) {
-	f, err := pdr.NewFleet(pdr.FleetOptions{
-		Boards: []string{"", "", "", ""},
-		Seed:   42,
-		Router: "least-outstanding",
-		Autoscale: &pdr.AutoscalePolicy{
-			Window:  20 * sim.Millisecond,
-			Min:     1,
-			Max:     4,
-			ShedHi:  0.01,
-			P99HiUS: 10_000,
-		},
-		Service: pdr.ServiceConfig{Prewarm: fleetASPs},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := f.OpenTrace(pdr.ArrivalSpec{RatePerSec: 2000, Deadline: 20 * sim.Millisecond}, 7, 160, fleetASPs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := f.Serve(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PeakActive <= 1 || len(st.ScaleEvents) == 0 {
-		t.Errorf("autoscaler never reacted: peak %d, %d events", st.PeakActive, len(st.ScaleEvents))
-	}
-}
-
 func TestFleetOptionErrors(t *testing.T) {
 	if _, err := pdr.NewFleet(pdr.FleetOptions{Boards: []string{"nope"}}); err == nil || !strings.Contains(err.Error(), "unknown platform") {
 		t.Errorf("unknown platform accepted (err = %v)", err)
@@ -128,6 +100,51 @@ func TestFleetOptionErrors(t *testing.T) {
 		Autoscale: &pdr.AutoscalePolicy{Window: sim.Millisecond, Min: 1, Max: 9},
 	}); err == nil {
 		t.Error("autoscaler bounds beyond the fleet accepted")
+	}
+}
+
+// TestFleetRejectsWhatClusterRejects: NewFleet and cluster.New share one
+// validator, so each malformed fleet fails both with the same error, which
+// pdr only prefixes.
+func TestFleetRejectsWhatClusterRejects(t *testing.T) {
+	four := make([]string, 4)
+	down := func(at sim.Duration, board int) pdr.FaultEvent {
+		return pdr.FaultEvent{At: at, Board: board, Kind: chaos.BoardDown}
+	}
+	for _, c := range []struct {
+		name string
+		opts pdr.FleetOptions
+	}{
+		{"unknown platform", pdr.FleetOptions{Boards: []string{"zedboard", "nope"}}},
+		{"unknown dispatch policy", pdr.FleetOptions{Boards: four, Service: pdr.ServiceConfig{Policy: "ghost"}}},
+		{"unknown repair mode", pdr.FleetOptions{Boards: four, Service: pdr.ServiceConfig{Repair: "relaod"}}},
+		{"autoscaler max beyond the fleet", pdr.FleetOptions{Boards: four,
+			Autoscale: &pdr.AutoscalePolicy{Window: sim.Millisecond, Min: 1, Max: 5}}},
+		{"chaos event on board 9 of 4", pdr.FleetOptions{Boards: four,
+			Chaos: &pdr.ChaosPolicy{Schedule: []pdr.FaultEvent{down(sim.Millisecond, 9)}}}},
+		{"unsorted chaos schedule", pdr.FleetOptions{Boards: four,
+			Chaos: &pdr.ChaosPolicy{Schedule: []pdr.FaultEvent{down(2*sim.Millisecond, 0), down(sim.Millisecond, 1)}}}},
+		{"negative probe interval", pdr.FleetOptions{Boards: four,
+			Chaos: &pdr.ChaosPolicy{ProbeEvery: -sim.Millisecond}}},
+	} {
+		specs := make([]cluster.BoardSpec, len(c.opts.Boards))
+		for i, p := range c.opts.Boards {
+			specs[i].Platform = p
+		}
+		_, cerr := cluster.New(cluster.FleetConfig{
+			Boards:     specs,
+			Service:    c.opts.Service,
+			Autoscaler: c.opts.Autoscale,
+			Chaos:      c.opts.Chaos,
+		})
+		_, perr := pdr.NewFleet(c.opts)
+		if cerr == nil || perr == nil {
+			t.Errorf("%s: accepted (cluster.New: %v, pdr.NewFleet: %v)", c.name, cerr, perr)
+			continue
+		}
+		if perr.Error() != "pdr: "+cerr.Error() {
+			t.Errorf("%s: errors differ:\n  cluster.New:  %v\n  pdr.NewFleet: %v", c.name, cerr, perr)
+		}
 	}
 }
 
