@@ -11,7 +11,7 @@ import (
 
 // fleetShape is one configuration the parallel-equality matrix exercises:
 // every code path with cross-board state (routing, chaos, health, hedging,
-// autoscaling, sketch merge) must produce byte-identical output whatever
+// autoscaling, sample merge) must produce byte-identical output whatever
 // the worker count.
 type fleetShape struct {
 	name  string
@@ -120,18 +120,6 @@ func parallelShapes() []fleetShape {
 				}
 			},
 		},
-		{
-			// Sketch-backed samples: the merge must stay byte-stable through
-			// the bucket-count fold as well as the exact append.
-			name: "sketch", trace: plainSpec, seed: 29, n: 96,
-			cfg: func(w int) FleetConfig {
-				return FleetConfig{
-					Boards: zedboards(4), Seed: 42, FreqMHz: 200, Workers: w,
-					Router:  LeastOutstanding(),
-					Service: ServiceTemplate{Prewarm: testASPs, SketchQuantiles: true},
-				}
-			},
-		},
 	}
 }
 
@@ -161,12 +149,10 @@ func TestFleetParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFleetHundredBoardsSketchSmoke is the scale point: a 100-board fleet
-// on 8 workers with sketch-backed samples serves a stream, stays
-// byte-identical to the sequential run, and the merged aggregate rides the
-// memory-bounded backend (100 boards × an hour of arrivals must not mean
-// 100 unbounded value slices).
-func TestFleetHundredBoardsSketchSmoke(t *testing.T) {
+// TestFleetHundredBoardsSmoke is the scale point: a 100-board fleet on 8
+// workers serves a stream, merges every board's samples into the
+// aggregate, and stays byte-identical to the sequential run.
+func TestFleetHundredBoardsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-board smoke skipped in -short mode")
 	}
@@ -174,7 +160,7 @@ func TestFleetHundredBoardsSketchSmoke(t *testing.T) {
 		return FleetConfig{
 			Boards: zedboards(100), Seed: 42, FreqMHz: 200, Workers: workers,
 			Router:  LeastOutstanding(),
-			Service: ServiceTemplate{Prewarm: testASPs, SketchQuantiles: true},
+			Service: ServiceTemplate{Prewarm: testASPs},
 		}
 	}
 	run := func(workers int) *FleetStats {
@@ -192,9 +178,6 @@ func TestFleetHundredBoardsSketchSmoke(t *testing.T) {
 	}
 	if len(par.Boards) != 100 {
 		t.Fatalf("boards = %d, want 100", len(par.Boards))
-	}
-	if !par.Aggregate.SojournUS.Sketched() || !par.Aggregate.QueueWaitUS.Sketched() {
-		t.Error("aggregate samples must stay on the sketch backend through the merge")
 	}
 	if par.Aggregate.Completed == 0 || par.Aggregate.SojournUS.N() != par.Aggregate.Completed {
 		t.Errorf("sojourn samples %d ≠ completed %d", par.Aggregate.SojournUS.N(), par.Aggregate.Completed)

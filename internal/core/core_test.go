@@ -58,6 +58,21 @@ func standardBitstream(t *testing.T, p *zynq.Platform, seed uint64) *bitstream.B
 	return bs
 }
 
+// intact is the memory oracle: whether RP1's configuration memory holds
+// exactly bs's frames.
+func intact(t *testing.T, p *zynq.Platform, bs *bitstream.Bitstream) bool {
+	t.Helper()
+	rp, err := p.RP("RP1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := p.Memory.RegionEqual(rp, bs.Frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestTableIReproduction(t *testing.T) {
 	// The headline integration test: every operational row of Table I must
 	// emerge from the simulation within 0.5%.
@@ -82,7 +97,7 @@ func TestTableIReproduction(t *testing.T) {
 		if !res.CRCValid {
 			t.Errorf("%v MHz: CRC invalid, want valid", row.freqMHz)
 		}
-		if !res.DataIntact {
+		if !intact(t, p, bs) {
 			t.Errorf("%v MHz: memory corrupted", row.freqMHz)
 		}
 		latErr := math.Abs(res.LatencyUS-row.latencyUS) / row.latencyUS
@@ -129,8 +144,8 @@ func TestTableIFailureRows(t *testing.T) {
 		if res.CRCByIRQ {
 			t.Errorf("%v MHz: CRC verdict must come from polling, not IRQ", tt.freqMHz)
 		}
-		if res.DataIntact != tt.wantValid {
-			t.Errorf("%v MHz: oracle DataIntact = %v, want %v", tt.freqMHz, res.DataIntact, tt.wantValid)
+		if got := intact(t, p, bs); got != tt.wantValid {
+			t.Errorf("%v MHz: memory intact = %v, want %v", tt.freqMHz, got, tt.wantValid)
 		}
 	}
 }
@@ -218,7 +233,7 @@ func TestRobustGuardRecoversFromHang(t *testing.T) {
 		t.Errorf("fallback = %v MHz, want 100", rec.FallbackMHz)
 	}
 	final := rec.Attempts[len(rec.Attempts)-1]
-	if !final.IRQReceived || !final.CRCValid || !final.DataIntact {
+	if !final.IRQReceived || !final.CRCValid || !intact(t, p, bs) {
 		t.Errorf("final attempt not clean: %+v", final)
 	}
 }
@@ -261,18 +276,19 @@ func TestOutcomeOracleConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ok := intact(t, p, bs)
 		switch res.Outcome {
 		case timing.OK:
-			if !res.IRQReceived || !res.DataIntact {
-				t.Errorf("%v MHz: OK outcome but IRQ=%v intact=%v", f, res.IRQReceived, res.DataIntact)
+			if !res.IRQReceived || !ok {
+				t.Errorf("%v MHz: OK outcome but IRQ=%v intact=%v", f, res.IRQReceived, ok)
 			}
 		case timing.Hang:
-			if res.IRQReceived || !res.DataIntact {
-				t.Errorf("%v MHz: Hang outcome but IRQ=%v intact=%v", f, res.IRQReceived, res.DataIntact)
+			if res.IRQReceived || !ok {
+				t.Errorf("%v MHz: Hang outcome but IRQ=%v intact=%v", f, res.IRQReceived, ok)
 			}
 		case timing.Corrupt:
-			if res.IRQReceived || res.DataIntact {
-				t.Errorf("%v MHz: Corrupt outcome but IRQ=%v intact=%v", f, res.IRQReceived, res.DataIntact)
+			if res.IRQReceived || ok {
+				t.Errorf("%v MHz: Corrupt outcome but IRQ=%v intact=%v", f, res.IRQReceived, ok)
 			}
 		}
 	}

@@ -44,12 +44,6 @@ type ServiceConfig struct {
 	// ASP runs again: "scrub" (default) rewrites only the damaged frames
 	// through the ICAP, "reload" performs a full partial reconfiguration.
 	Repair string
-	// SketchQuantiles switches the latency samples (queue wait, service,
-	// sojourn) to the memory-bounded sketch backend (sim.Sample.UseSketch)
-	// — O(sketch size) memory however long the stream runs, quantiles
-	// within the sketch's ≈ 0.78 % relative error bound. The default keeps
-	// the exact backend and its byte-identical historical output.
-	SketchQuantiles bool
 	// UpsetSeed seeds the configuration-memory upset injector RaiseCRCUpset
 	// draws from (0 keeps a fixed default stream). A fleet derives it per
 	// board and overrides any value set here.
@@ -230,11 +224,6 @@ func NewService(ctrl *core.Controller, cfg ServiceConfig) (*Service, error) {
 	}
 	s.stats.Tenants = make(map[string]*TenantStats)
 	s.stats.Classes = make(map[string]*TenantStats)
-	if cfg.SketchQuantiles {
-		s.stats.QueueWaitUS.UseSketch()
-		s.stats.ServiceUS.UseSketch()
-		s.stats.SojournUS.UseSketch()
-	}
 	for _, name := range s.eng.order {
 		s.queues[name] = sched.NewQueue(queueCap)
 	}
@@ -259,6 +248,20 @@ func (s *Service) class(name string) *TenantStats {
 		s.stats.Classes[name] = c
 	}
 	return c
+}
+
+// fail ends a request that will not complete: a CRC-failed load or repair
+// (counted in the tenant's and class's Failed), or, when lost, work a
+// crash dropped (also counted in Lost).
+func (s *Service) fail(it *sched.Item, lost bool) {
+	s.tenant(it.Tenant).Failed++
+	if c := s.class(it.Class); c != nil {
+		c.Failed++
+	}
+	if lost {
+		s.stats.Lost++
+	}
+	s.done++
 }
 
 // tenant returns the per-tenant accumulator.
@@ -519,11 +522,7 @@ func (s *Service) serveItem(it *sched.Item, st *rpState, now sim.Time) error {
 			if s.tr != nil {
 				s.tr.Event(obs.EvCRCFail, obs.TIDICAP, int32(it.Seq), s.rel(k.Now()), asp.Name)
 			}
-			s.tenant(it.Tenant).Failed++
-			if c := s.class(it.Class); c != nil {
-				c.Failed++
-			}
-			s.done++
+			s.fail(it, false)
 			return nil
 		}
 	} else {
@@ -545,11 +544,7 @@ func (s *Service) serveItem(it *sched.Item, st *rpState, now sim.Time) error {
 			if st.resident != asp.Name {
 				// A reload repair failed verification: dropped like any
 				// CRC-failed load, the partition left empty.
-				s.tenant(it.Tenant).Failed++
-				if c := s.class(it.Class); c != nil {
-					c.Failed++
-				}
-				s.done++
+				s.fail(it, false)
 				return nil
 			}
 		}
@@ -745,12 +740,7 @@ func (s *Service) Crash() {
 		st := s.eng.rps[name]
 		if st.inflight != nil {
 			s.eng.traffic[name].Stop()
-			s.tenant(st.inflight.Tenant).Failed++
-			if c := s.class(st.inflight.Class); c != nil {
-				c.Failed++
-			}
-			s.stats.Lost++
-			s.done++
+			s.fail(st.inflight, true)
 			st.inflight = nil
 		}
 		st.busyUntil = 0
@@ -759,14 +749,8 @@ func (s *Service) Crash() {
 		st.suspect = nil
 		q := s.queues[name]
 		for q.Len() > 0 {
-			it := q.Remove(0)
 			s.queued--
-			s.tenant(it.Tenant).Failed++
-			if c := s.class(it.Class); c != nil {
-				c.Failed++
-			}
-			s.stats.Lost++
-			s.done++
+			s.fail(q.Remove(0), true)
 		}
 	}
 	s.eng.cache.Clear()

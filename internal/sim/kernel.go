@@ -4,73 +4,13 @@ import (
 	"fmt"
 )
 
-// Event is a handle to a scheduled callback. Events at equal times fire in
-// scheduling order (FIFO), which keeps simulations deterministic.
-//
-// Event is a small value type: the kernel recycles the underlying storage
-// through a free list once an event fires or a cancelled event is discarded,
-// and a generation counter keeps stale handles from touching the slot's next
-// occupant. The zero Event is inert (Cancel is a no-op, Cancelled reports
-// false).
-type Event struct {
-	k   *Kernel
-	idx int32
-	gen uint32
-	at  Time
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e Event) Cancel() {
-	if e.k == nil {
-		return
-	}
-	s := &e.k.slots[e.idx]
-	if s.gen == e.gen {
-		s.cancelled = true
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-//
-// Contract: the answer is exact while the event is pending and through its
-// retirement, until the event's recycled storage slot retires a *subsequent*
-// event. Past that point a cancelled event reports false (a normally-fired
-// one always correctly reports false). Pooled storage cannot keep
-// per-handle history forever; query in the same causal chain as the Cancel —
-// which every in-tree caller does — rather than holding handles across
-// unrelated kernel activity.
-func (e Event) Cancelled() bool {
-	if e.k == nil {
-		return false
-	}
-	s := &e.k.slots[e.idx]
-	if s.gen == e.gen {
-		return s.cancelled
-	}
-	return s.diedGen == e.gen && s.diedCancelled
-}
-
-// When returns the simulated time at which the event fires.
-func (e Event) When() Time { return e.at }
-
-// slot is the pooled per-event storage. Slots are recycled through the
-// kernel's free list; gen increments at each retirement so stale Event
-// handles miss.
-type slot struct {
-	fn            func()
-	gen           uint32
-	cancelled     bool
-	diedGen       uint32
-	diedCancelled bool
-}
-
-// entry is one heap element. The sort key (at, seq) is stored inline so the
-// sift loops never chase into the slot arena.
+// entry is one heap element: the callback and its sort key (at, seq). Events
+// at equal times fire in scheduling order (FIFO, by seq), which keeps
+// simulations deterministic.
 type entry struct {
 	at  Time
 	seq uint64
-	idx int32
+	fn  func()
 }
 
 func entryLess(a, b entry) bool {
@@ -85,16 +25,13 @@ func entryLess(a, b entry) bool {
 //
 // Kernel is not safe for concurrent use; hardware models are single-threaded
 // by design so that event ordering is exact. Schedule/Step run allocation-free
-// in steady state: event storage is pooled and the heap is a flat slice of
-// (time, seq, slot) entries.
+// in steady state: the heap is a flat slice of (time, seq, callback) entries
+// whose backing array is reused once it has grown.
 type Kernel struct {
-	heap    []entry
-	slots   []slot
-	free    []int32
-	now     Time
-	seq     uint64
-	stopped bool
-	fired   uint64
+	heap  []entry
+	now   Time
+	seq   uint64
+	fired uint64
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -103,8 +40,7 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
+// Pending returns the number of events still queued.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Fired returns the total number of events executed so far.
@@ -112,41 +48,24 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Schedule queues fn to run after delay d. Negative delays panic: a hardware
 // model asking for time travel is always a bug.
-func (k *Kernel) Schedule(d Duration, fn func()) Event {
+func (k *Kernel) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.At(k.now.Add(d), fn)
+	k.At(k.now.Add(d), fn)
 }
 
 // At queues fn to run at absolute time t, which must not be in the past.
-func (k *Kernel) At(t Time, fn func()) Event {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	var idx int32
-	if n := len(k.free); n > 0 {
-		idx = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		k.slots = append(k.slots, slot{})
-		idx = int32(len(k.slots) - 1)
-	}
-	s := &k.slots[idx]
-	s.fn = fn
-	s.cancelled = false
-	seq := k.seq
+	h := append(k.heap, entry{at: t, seq: k.seq, fn: fn})
 	k.seq++
-	k.push(entry{at: t, seq: seq, idx: idx})
-	return Event{k: k, idx: idx, gen: s.gen, at: t}
-}
-
-// push appends e and restores the heap invariant (sift-up).
-func (k *Kernel) push(e entry) {
-	h := append(k.heap, e)
+	// Sift up.
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -159,12 +78,19 @@ func (k *Kernel) push(e entry) {
 	k.heap = h
 }
 
-// popRoot removes the minimum entry and restores the invariant (sift-down).
-func (k *Kernel) popRoot() {
+// Step executes the single next event. It reports false when the queue is
+// empty.
+func (k *Kernel) Step() bool {
 	h := k.heap
 	n := len(h) - 1
+	if n < 0 {
+		return false
+	}
+	e := h[0]
 	h[0] = h[n]
+	h[n] = entry{} // drop the vacated slot's closure so it can be collected
 	h = h[:n]
+	// Sift down.
 	i := 0
 	for {
 		l := 2*i + 1
@@ -182,54 +108,18 @@ func (k *Kernel) popRoot() {
 		i = m
 	}
 	k.heap = h
-}
-
-// release retires a slot back to the free list, recording how the event died
-// so stale handles answer Cancelled correctly for one more generation.
-func (k *Kernel) release(idx int32, cancelled bool) {
-	s := &k.slots[idx]
-	s.diedGen = s.gen
-	s.diedCancelled = cancelled
-	s.gen++
-	s.fn = nil
-	s.cancelled = false
-	k.free = append(k.free, idx)
-}
-
-// Stop makes the currently running Run/RunUntil call return after the
-// in-flight event completes. The queue is preserved.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Step executes the single next event. It reports false when the queue is
-// empty.
-func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		k.popRoot()
-		s := &k.slots[e.idx]
-		fn := s.fn
-		cancelled := s.cancelled
-		// Retire the slot before running fn so nested Schedule calls can
-		// reuse it — the steady-state allocation-free path.
-		k.release(e.idx, cancelled)
-		if cancelled {
-			continue
-		}
-		if e.at < k.now {
-			panic("sim: event queue corrupted (time went backwards)")
-		}
-		k.now = e.at
-		k.fired++
-		fn()
-		return true
+	if e.at < k.now {
+		panic("sim: event queue corrupted (time went backwards)")
 	}
-	return false
+	k.now = e.at
+	k.fired++
+	e.fn()
+	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped && k.Step() {
+	for k.Step() {
 	}
 }
 
@@ -239,84 +129,38 @@ func (k *Kernel) RunUntil(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, k.now))
 	}
-	k.stopped = false
-	for !k.stopped {
-		next, ok := k.peek()
-		if !ok || next > t {
-			break
-		}
+	for len(k.heap) > 0 && k.heap[0].at <= t {
 		k.Step()
 	}
-	if !k.stopped && k.now < t {
-		k.now = t
-	}
+	k.now = t
 }
 
 // RunFor executes events within the next d of simulated time and advances the
-// clock by exactly d (unless stopped early).
+// clock by exactly d.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
-
-// peek returns the timestamp of the next live event, discarding cancelled
-// ones from the top of the heap.
-func (k *Kernel) peek() (Time, bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if !k.slots[e.idx].cancelled {
-			return e.at, true
-		}
-		k.popRoot()
-		k.release(e.idx, true)
-	}
-	return 0, false
-}
 
 // NextEventTime returns the timestamp of the next pending event, or Never if
 // the queue is empty.
 func (k *Kernel) NextEventTime() Time {
-	if t, ok := k.peek(); ok {
-		return t
+	if len(k.heap) == 0 {
+		return Never
 	}
-	return Never
+	return k.heap[0].at
 }
 
-// Ticker invokes a callback every period until cancelled. It is the building
-// block for free-running hardware such as refresh engines and sensors.
-type Ticker struct {
-	kernel *Kernel
-	period Duration
-	fn     func()
-	ev     Event
-	live   bool
-	armFn  func()
-}
-
-// NewTicker starts a ticker whose first tick fires one period from now.
-func (k *Kernel) NewTicker(period Duration, fn func()) *Ticker {
+// NewTicker calls fn every period, starting one period from now, for the
+// kernel's whole life. It is the building block for free-running hardware
+// such as refresh engines and sensors.
+func (k *Kernel) NewTicker(period Duration, fn func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
-	t := &Ticker{kernel: k, period: period, fn: fn, live: true}
-	// One tick closure for the ticker's whole life: re-arming reuses it, so
-	// a running ticker allocates nothing per tick.
-	t.armFn = func() {
-		if !t.live {
-			return
-		}
-		t.fn()
-		if t.live {
-			t.arm()
-		}
+	// One closure for the ticker's whole life: re-arming reuses it, so a
+	// running ticker allocates nothing per tick.
+	var tick func()
+	tick = func() {
+		fn()
+		k.Schedule(period, tick)
 	}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.kernel.Schedule(t.period, t.armFn)
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.live = false
-	t.ev.Cancel()
+	k.Schedule(period, tick)
 }

@@ -50,20 +50,6 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	ev := k.Schedule(Nanosecond, func() { fired = true })
-	ev.Cancel()
-	k.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-}
-
 func TestKernelRunUntilAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	fired := 0
@@ -88,20 +74,6 @@ func TestKernelRunForRelative(t *testing.T) {
 	k.RunFor(3 * Microsecond)
 	if k.Now() != Time(10*Microsecond) {
 		t.Errorf("Now = %v, want 10µs", k.Now())
-	}
-}
-
-func TestKernelStopInsideEvent(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.Schedule(Nanosecond, func() { count++; k.Stop() })
-	k.Schedule(2*Nanosecond, func() { count++ })
-	k.Run()
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (stopped after first event)", count)
-	}
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
 	}
 }
 
@@ -140,10 +112,8 @@ func TestKernelNextEventTime(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	tk := k.NewTicker(10*Nanosecond, func() { hits = append(hits, k.Now()) })
+	k.NewTicker(10*Nanosecond, func() { hits = append(hits, k.Now()) })
 	k.RunUntil(Time(35 * Nanosecond))
-	tk.Stop()
-	k.Run()
 	if len(hits) != 3 {
 		t.Fatalf("hits = %d, want 3", len(hits))
 	}
@@ -153,21 +123,28 @@ func TestTickerFiresPeriodically(t *testing.T) {
 			t.Errorf("hits[%d] = %v, want %v", i, h, want)
 		}
 	}
+	if k.Now() != Time(35*Nanosecond) || k.NextEventTime() != Time(40*Nanosecond) {
+		t.Errorf("Now = %v, next tick %v; want 35ns and 40ns", k.Now(), k.NextEventTime())
+	}
 }
 
-func TestTickerStopInsideCallback(t *testing.T) {
+func TestKernelSteadyStateAllocFree(t *testing.T) {
+	// 64 self-rescheduling events plus a ticker: once the heap has grown,
+	// scheduling and firing allocate nothing.
 	k := NewKernel()
-	count := 0
-	var tk *Ticker
-	tk = k.NewTicker(Nanosecond, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	k.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
+	for i := 0; i < 64; i++ {
+		d := Duration(i+1) * Nanosecond
+		var tick func()
+		tick = func() { k.Schedule(d, tick) }
+		k.Schedule(d, tick)
+	}
+	k.NewTicker(7*Nanosecond, func() {})
+	k.RunFor(Microsecond) // warm up: the heap reaches its steady size
+	if allocs := testing.AllocsPerRun(100, func() { k.RunFor(Microsecond) }); allocs != 0 {
+		t.Errorf("RunFor allocs = %v, want 0", allocs)
+	}
+	if k.Pending() != 65 {
+		t.Errorf("Pending = %d, want 65", k.Pending())
 	}
 }
 

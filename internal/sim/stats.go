@@ -7,61 +7,24 @@ import (
 )
 
 // Sample accumulates scalar observations and reports summary statistics.
-// The zero value is an empty sample ready for use.
-//
-// Two backends exist. The exact default stores every observation and sorts
-// for quantiles — the historical behaviour, byte-identical output, O(n)
-// memory. UseSketch switches to a memory-bounded log-linear histogram
-// (see sketch.go) for long-horizon runs: O(sketch size) memory however
-// many values arrive, exact moments and min/max, interior quantiles within
-// a ≈ 0.78 % relative error bound.
+// The zero value is an empty sample ready for use. It stores every
+// observation and sorts for quantiles, so every statistic is exact.
 type Sample struct {
 	values []float64
 	sorted bool
-	sk     *sketch // non-nil = sketch mode
 }
-
-// UseSketch switches the sample to the memory-bounded sketch backend,
-// folding any already-recorded observations in. Switching is one-way: the
-// exact values are dropped, so quantiles become bucket-midpoint estimates
-// from here on. Idempotent.
-func (s *Sample) UseSketch() {
-	if s.sk != nil {
-		return
-	}
-	s.sk = &sketch{}
-	for _, v := range s.values {
-		s.sk.add(v)
-	}
-	s.values, s.sorted = nil, false
-}
-
-// Sketched reports whether the sample runs on the sketch backend.
-func (s *Sample) Sketched() bool { return s.sk != nil }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if s.sk != nil {
-		s.sk.add(v)
-		return
-	}
 	s.values = append(s.values, v)
 	s.sorted = false
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int {
-	if s.sk != nil {
-		return int(s.sk.n)
-	}
-	return len(s.values)
-}
+func (s *Sample) N() int { return len(s.values) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if s.sk != nil {
-		return s.sk.mean()
-	}
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -72,15 +35,8 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample. Exact in
-// both backends.
+// Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	if s.sk != nil {
-		if s.sk.n == 0 {
-			return 0
-		}
-		return s.sk.min
-	}
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -93,15 +49,8 @@ func (s *Sample) Min() float64 {
 	return m
 }
 
-// Max returns the largest observation, or 0 for an empty sample. Exact in
-// both backends.
+// Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	if s.sk != nil {
-		if s.sk.n == 0 {
-			return 0
-		}
-		return s.sk.max
-	}
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -117,9 +66,6 @@ func (s *Sample) Max() float64 {
 // StdDev returns the sample standard deviation (n-1 denominator), or 0 when
 // fewer than two observations exist.
 func (s *Sample) StdDev() float64 {
-	if s.sk != nil {
-		return s.sk.stddev()
-	}
 	n := len(s.values)
 	if n < 2 {
 		return 0
@@ -137,9 +83,6 @@ func (s *Sample) StdDev() float64 {
 // for an empty sample. The service-layer reports read their p50/p95/p99 off
 // this accessor: Quantile(0.99) is exactly Percentile(99).
 func (s *Sample) Quantile(q float64) float64 {
-	if s.sk != nil {
-		return s.sk.quantile(q)
-	}
 	n := len(s.values)
 	if n == 0 {
 		return 0
@@ -165,39 +108,19 @@ func (s *Sample) Quantile(q float64) float64 {
 // or 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
 
-// Merge folds every observation of o into s — how a fleet aggregates
+// Merge appends every observation of o to s — how a fleet aggregates
 // per-board latency samples into one distribution. Quantiles of the merged
-// sample are order-independent (the exact backend sorts before ranking,
-// the sketch backend sums integer counts), so a merge in board-index order
-// is byte-stable whatever schedule produced the parts. A nil or empty o is
-// a no-op — a chaos run can hand the merge boards that completed zero
-// requests — and merging a sample into itself is rejected rather than
-// doubling every observation.
-//
-// Cross-mode merges promote: merging a sketch-backed o into an exact s
-// switches s to sketch mode first (its stored values fold into the sketch
-// and are dropped) — a sketch cannot reproduce o's individual values, so
-// the receiver adopts the bounded representation rather than silently
-// losing o or erroring. Merging an exact o into a sketch-backed s simply
-// folds o's values into the sketch.
+// sample are order-independent (it sorts before ranking), so a merge in
+// board-index order is byte-stable whatever schedule produced the parts. A
+// nil or empty o is a no-op — a chaos run can hand the merge boards that
+// completed zero requests — and merging a sample into itself is rejected
+// rather than doubling every observation.
 func (s *Sample) Merge(o *Sample) {
-	if o == nil || o == s || o.N() == 0 {
+	if o == nil || o == s || len(o.values) == 0 {
 		return
 	}
-	if o.sk != nil && s.sk == nil {
-		s.UseSketch() // documented promotion: sketch wins a cross-mode merge
-	}
-	switch {
-	case s.sk == nil:
-		s.values = append(s.values, o.values...)
-		s.sorted = false
-	case o.sk != nil:
-		s.sk.merge(o.sk)
-	default:
-		for _, v := range o.values {
-			s.sk.add(v)
-		}
-	}
+	s.values = append(s.values, o.values...)
+	s.sorted = false
 }
 
 // String summarises the sample for logs. Tail latency is first-class in the

@@ -328,8 +328,8 @@ func Policies() []string { return sched.PolicyNames() }
 // ServiceConfig is a board's reconfiguration-service settings: dispatch
 // policy, DRAM bitstream cache budget (0 = the platform profile's derived
 // budget, < 0 = no cache, or CacheBudgetImages × the board's image size),
-// per-RP queue cap (0 = 32, < 0 = unbounded), prewarm set, CRC repair mode
-// and sketch quantiles. Each board resolves it against its own profile.
+// per-RP queue cap (0 = 32, < 0 = unbounded), prewarm set and CRC repair
+// mode. Each board resolves it against its own profile.
 type ServiceConfig = hll.ServiceConfig
 
 // ServeOptions configures System.Serve.

@@ -268,8 +268,21 @@ func TestNewSystemWithPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IRQReceived || !res.CRCValid || !res.DataIntact {
-		t.Errorf("zybo 140 MHz load should succeed cleanly: %+v", res)
+	bs, err := sys.BuildBitstream("RP1", "fir128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Platform()
+	rp, err := p.RP("RP1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := p.Memory.RegionEqual(rp, bs.Frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IRQReceived || !res.CRCValid || !intact {
+		t.Errorf("zybo 140 MHz load should succeed cleanly (memory intact=%v): %+v", intact, res)
 	}
 	if _, err := pdr.NewSystem(pdr.WithPlatform("martian-fpga")); err == nil {
 		t.Error("unknown platform accepted")
